@@ -1,14 +1,15 @@
 """Two-level distributed exploration over TCP node agents.
 
 This package lifts the exploration engine's single-machine memory
-ceiling: instead of one global intern table on the coordinator
-(:mod:`repro.search.sharded`), every **node agent** owns the intern
-table, shared-memory state store and partial
-:class:`~repro.search.engine.SearchResult` of its hash-partition of the
-state space, and the coordinator keeps only frontier *references* and
-counters.  Per-node partials are reconciled through the associative
-:meth:`SearchResult.merge <repro.search.engine.SearchResult.merge>`,
-which re-keys parent links across node-local id spaces.
+ceiling: it runs the sharded engine's one level loop
+(:func:`repro.search.sharded.run_levels`) with every partition on its own
+**node agent**, which owns the intern table, shared-memory state store
+and partial :class:`~repro.search.engine.SearchResult` of its
+hash-partition of the state space, while the coordinator keeps only
+frontier *references* and counters.  Per-node partials are reconciled
+through the associative :meth:`SearchResult.merge
+<repro.search.engine.SearchResult.merge>`, which re-keys parent links
+across node-local id spaces.
 
 The moving parts:
 
@@ -16,12 +17,13 @@ The moving parts:
   with strict torn-frame semantics;
 * :class:`~repro.distributed.coordinator.Coordinator` — listener,
   ``hello``/``lease`` handshake, ping/pong heartbeats;
-* :class:`~repro.distributed.agent.NodeAgent` — serves expansion,
-  probe/commit and collection frames; reuses the sharded engine's
-  frontiers and expansion backends node-locally;
-* :class:`~repro.distributed.coordinator.DistributedEngine` — the
-  level-synchronous protocol whose results are **bit-identical** to
-  single-node, single-shard BFS;
+* :class:`~repro.distributed.agent.NodeAgent` — a frame loop around
+  one :class:`~repro.search.sharded.Partition`;
+* :class:`~repro.distributed.coordinator.TcpTransport` — the level
+  loop's transport over the agents, with fetch-based stealing;
+* :class:`~repro.distributed.coordinator.DistributedEngine` — cluster
+  lifecycle and crash recovery around the level loop, whose results are
+  **bit-identical** to single-node, single-shard BFS;
 * :class:`~repro.distributed.launcher.LocalCluster` — forks localhost
   agents over real TCP so CI needs no cluster.
 
@@ -44,6 +46,7 @@ from repro.distributed.coordinator import (
     DistributedEngine,
     DistributedSummary,
     NodeHandle,
+    TcpTransport,
 )
 from repro.distributed.launcher import LocalCluster
 from repro.distributed.transport import Channel, PROTOCOL_VERSION
@@ -64,5 +67,6 @@ __all__ = [
     "NodeHandle",
     "PROTOCOL_VERSION",
     "RecencyContext",
+    "TcpTransport",
     "run_agent",
 ]

@@ -1,22 +1,26 @@
 """The node side of the two-level distributed exploration.
 
-A :class:`NodeAgent` owns one node's share of the exploration state —
-its **own** :class:`~repro.search.interning.InternTable` (mirrored into
-a node-local :class:`~repro.search.shm_interning.SharedStateStore` when
-the node expands on worker processes), the partial
-:class:`~repro.search.engine.SearchResult` of the hash-partition it
-owns, and a node-local expansion backend reusing the sharded engine's
-machinery (:class:`~repro.search.sharded.ShardFrontiers` with tail-half
-stealing across ``local_shards`` queues, serial or fork-multiprocessing
-expansion).  The coordinator never holds these states; that is what
-moves the intern-table memory ceiling from one machine to the cluster.
+A :class:`NodeAgent` is a frame loop around one
+:class:`~repro.search.sharded.Partition` — the node's share of the
+exploration state: its **own** intern table (mirrored into a node-local
+:class:`~repro.search.shm_interning.SharedStateStore` when the node
+expands on worker processes), the partial
+:class:`~repro.search.engine.SearchResult` of the hash-partition it owns,
+and a node-local expansion backend
+(:func:`~repro.search.sharded.owned_expansion_backend`: fork workers
+leased from a private :class:`repro.runtime.WorkerPool`, or the serial
+fallback) behind :class:`~repro.search.sharded.ShardFrontiers` stealing
+across ``local_shards`` queues.  The coordinator never holds these
+states; that is what moves the intern-table memory ceiling from one
+machine to the cluster.
 
 The agent serves the coordinator's frames in arrival order on its main
-thread.  A small **receiver thread** answers latency-sensitive frames —
-``ping`` (heartbeat) and ``fetch`` (work-stealing state reads) —
-immediately, even while the main thread is deep in an expansion, so a
-straggling node can be health-checked and robbed of its tail without
-waiting for its current batch.
+thread, answering each request with a frame of the same kind.  A small
+**receiver thread** answers latency-sensitive frames — ``ping``
+(heartbeat) and ``fetch`` (work-stealing state reads) — immediately,
+even while the main thread is deep in an expansion, so a straggling
+node can be health-checked and robbed of its tail without waiting for
+its current batch.
 
 Run an agent from the command line with::
 
@@ -32,22 +36,12 @@ import os
 import queue
 import socket
 import threading
-from time import perf_counter
 from typing import Any, Callable, Iterable
 
 from repro.distributed.transport import PROTOCOL_VERSION, Channel
 from repro.errors import DistributedError
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.search.engine import SearchResult
-from repro.search.interning import InternTable
-from repro.search.sharded import (
-    ProcessExpansionBackend,
-    SerialExpansionBackend,
-    ShardFrontiers,
-    process_backend_available,
-    shard_of,
-)
-from repro.search.shm_interning import SharedInternTable, SharedStateStore
+from repro.search.sharded import DEFAULT_BATCH_SIZE, Partition, owned_expansion_backend
 
 __all__ = ["NodeAgent", "run_agent"]
 
@@ -76,21 +70,8 @@ class NodeAgent:
         self._successors = successors
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._index = 0
-        self._local_shards = 1
-        self._local_workers = 1
-        self._batch_size = 16
-        self._shared_interning: bool | None = None
         self._backend = None
-        self._store: SharedStateStore | None = None
-        self._table: InternTable | None = None
-        self._partial: SearchResult | None = None
-        self._keep_parents = True
-        # A node-local registry (when the lease asks for one) accumulates
-        # expansion counters; its snapshot rides back on collect/summarize
-        # replies and the coordinator folds it in with a node label.
-        self._metrics = NULL_REGISTRY
-
-    # -- serving ----------------------------------------------------------------
+        self._partition: Partition | None = None
 
     def serve(self) -> None:
         """Handshake, then serve coordinator frames until shutdown/EOF."""
@@ -98,8 +79,7 @@ class NodeAgent:
         kind, data = self._channel.recv(timeout=LEASE_TIMEOUT_SECONDS)
         if kind != "lease":
             raise DistributedError(f"expected a lease, got {kind!r}")
-        self._apply_lease(data)
-        self._channel.send("ready", {"node": self._index})
+        self._channel.send("lease", self._apply_lease(data))
         receiver = threading.Thread(target=self._receive_loop, daemon=True)
         receiver.start()
         try:
@@ -111,12 +91,12 @@ class NodeAgent:
                 if kind == "shutdown":
                     self._channel.send("bye", {})
                     break
-                handler = self._HANDLERS.get(kind)
-                if handler is None:
-                    self._channel.send("error", {"message": f"unknown frame kind {kind!r}"})
-                    continue
                 try:
-                    handler(self, data)
+                    if kind == "lease":
+                        reply = self._apply_lease(data)
+                    else:
+                        reply = self._partition.handle(kind, data)
+                    self._channel.send(kind, reply)
                 except Exception as error:  # noqa: BLE001 - report, let the coordinator decide
                     self._channel.send(
                         "error", {"message": f"{type(error).__name__}: {error}"}
@@ -143,7 +123,7 @@ class NodeAgent:
                     # earlier, so the concurrent main thread never
                     # mutates the entries being read.
                     try:
-                        table = self._table
+                        table = self._partition.table
                         states = [table.state_of(i) for i in data["ids"]]
                     except Exception as error:  # noqa: BLE001 - report, stay alive
                         self._channel.send(
@@ -167,16 +147,15 @@ class NodeAgent:
         finally:
             self._queue.put(None)  # unblock the main loop unconditionally
 
-    # -- lease and per-exploration state ----------------------------------------
+    def _apply_lease(self, lease: dict) -> dict:
+        """Bind the node index, successor function, backend and partition.
 
-    def _apply_lease(self, lease: dict) -> None:
-        """Bind the node index, expansion config and successor function."""
+        A long-lived coordinator re-leases for each engine it serves
+        (another system, bound or local configuration), so the previous
+        backend and store are recycled first.
+        """
+        self._close_backend()
         self._index = lease["node"]
-        self._local_shards = max(1, lease.get("local_shards", 1))
-        self._local_workers = max(1, lease.get("local_workers", 1))
-        self._batch_size = max(1, lease.get("batch_size", 16))
-        self._shared_interning = lease.get("shared_interning")
-        self._metrics = MetricsRegistry() if lease.get("metrics") else NULL_REGISTRY
         context = lease.get("context")
         if context is not None:
             self._successors = context.successors()
@@ -185,222 +164,25 @@ class NodeAgent:
                 "the lease carried no exploration context and the agent was not "
                 "forked with a successor function"
             )
-        self._ensure_backend()
-
-    def _ensure_backend(self):
-        """The node-local expansion backend (created once per lease).
-
-        Mirrors :meth:`repro.search.sharded.ShardedEngine._backend`: a
-        fork pool when more than one local worker was asked for and fork
-        exists, the deterministic serial backend otherwise.  The store —
-        when the pool forks and shared memory is available — carries the
-        node's id-only expansion traffic and backs the node table.
-        """
-        if self._backend is None:
-            if self._local_workers > 1 and process_backend_available():
-                store = None
-                if self._shared_interning is not False:
-                    store = SharedStateStore.create(slots=self._local_workers + 4)
-                self._backend = ProcessExpansionBackend(
-                    self._successors, self._local_workers, store=store
-                )
-                self._store = store
-            else:
-                self._backend = SerialExpansionBackend(self._successors)
-                self._store = None
-        return self._backend
+        self._backend = owned_expansion_backend(
+            self._successors, max(1, lease.get("local_workers", 1)), lease.get("shared_interning")
+        )
+        self._partition = Partition(
+            self._backend,
+            shards=max(1, lease.get("local_shards", 1)),
+            batch_size=max(1, lease.get("batch_size", DEFAULT_BATCH_SIZE)),
+            metrics=MetricsRegistry() if lease.get("metrics") else NULL_REGISTRY,
+            detach=True,
+        )
+        return {"node": self._index}
 
     def _close_backend(self) -> None:
         backend, self._backend = self._backend, None
-        self._store = None
         if backend is not None:
             try:
                 backend.close()
             except Exception:  # noqa: BLE001 - teardown must never raise
                 pass
-
-    def _handle_lease(self, data: dict) -> None:
-        """Re-lease mid-session: rebind config/context, recycle the backend.
-
-        A long-lived coordinator serves successive engines (different
-        systems, bounds or local configurations); each re-lease tears
-        the node-local expansion backend and store down so the next
-        exploration runs with exactly the leased semantics.
-        """
-        self._close_backend()
-        self._apply_lease(data)
-        self._channel.send("ready", {"node": self._index})
-
-    def _handle_reset(self, data: dict) -> None:
-        """Start a fresh exploration: new node table, new empty partial."""
-        self._table = SharedInternTable(self._store) if self._store is not None else InternTable()
-        self._keep_parents = data["keep_parents"]
-        if self._metrics.enabled:
-            self._metrics = MetricsRegistry()  # counters are per-exploration
-        self._partial = SearchResult(
-            initial=data["initial"],
-            retention=data["retention"],
-            interning=self._table,
-        )
-        self._channel.send("ok", {})
-
-    def _handle_init_root(self, data: dict) -> None:
-        """Intern the root (this node owns it) at depth 0."""
-        local_id, _, _ = self._table.intern(data["state"])
-        self._partial.depths[local_id] = 0
-        self._channel.send("ok", {"local_id": local_id})
-
-    # -- the per-level protocol --------------------------------------------------
-
-    def _handle_expand(self, data: dict) -> None:
-        """Expand one chunk of frontier entries; reply the edge lists.
-
-        Entries are ``(ref, local_id, state)``: a state this node owns
-        resolves through its table (``local_id``), a stolen state from a
-        straggler arrives inline (``state``).  Expansion reuses the
-        sharded engine's shard queues, stealing policy and backends —
-        including id-only traffic through the node's own store.
-        """
-        table = self._table
-        store = self._store
-        frontiers = ShardFrontiers(self._local_shards)
-        for ref, local_id, state in data["entries"]:
-            if local_id is not None:
-                state = table.state_of(local_id)
-            if store is not None:
-                shared_id = (
-                    table.shared_id_of(local_id)
-                    if local_id is not None and isinstance(table, SharedInternTable)
-                    else None
-                )
-                inline = state if shared_id is None else None
-                entry = (ref, shared_id, inline)
-            else:
-                entry = (ref, state)
-            frontiers.push(shard_of(state, self._local_shards), entry)
-        if self._metrics.enabled:
-            started = perf_counter()
-            expansions = self._ensure_backend().expand(frontiers, self._batch_size)
-            self._metrics.histogram("node_expand_seconds").observe(perf_counter() - started)
-            self._metrics.counter("node_edges_total").inc(
-                sum(len(edges) for edges in expansions.values())
-            )
-        else:
-            expansions = self._ensure_backend().expand(frontiers, self._batch_size)
-        self._channel.send("expanded", {"results": list(expansions.items())})
-
-    def _handle_probe(self, data: dict) -> None:
-        """Tentative dedup of level candidates, in global position order.
-
-        Does not commit anything — the coordinator needs the positions
-        of would-be-new states to locate a ``max_configurations`` cut
-        before telling anyone to intern.  Dedup is prefix-stable, so the
-        later commit (a prefix of these candidates) agrees with the
-        probe on every position it keeps.
-        """
-        table = self._table
-        seen: set = set()
-        news: list[int] = []
-        for position, state in data["targets"]:
-            if state in table or state in seen:
-                continue
-            seen.add(state)
-            news.append(position)
-        self._channel.send("probed", {"news": news})
-
-    def _handle_commit(self, data: dict) -> None:
-        """Apply one level's committed share to the node partial.
-
-        ``candidates`` (targets this node owns, global position order)
-        are interned — new states get their depth and, when parents are
-        kept, a spanning-tree link whose source resolves against this
-        node's table or stays ``-1`` (cross-node, repaired by
-        :meth:`SearchResult.merge`).  ``edge_count``/``edges`` are the
-        share generated *from* this node's states, and ``truncated``
-        marks the partial whose state generated the limit-crossing edge.
-        """
-        partial = self._partial
-        table = self._table
-        partial.edge_count += data["edge_count"]
-        edges = data.get("edges")
-        if edges:
-            partial.edges.extend(edges)
-        if data["truncated"]:
-            partial.truncated = True
-        depth = data["depth"]
-        news: list[tuple[int, int]] = []
-        for position, edge in data["candidates"]:
-            local_id, _, is_new = table.intern(edge.target)
-            if not is_new:
-                continue
-            partial.depths[local_id] = depth
-            if self._keep_parents:
-                source_local = table.id_of(edge.source)
-                partial.parents[local_id] = (
-                    source_local if source_local is not None else -1,
-                    edge,
-                )
-            news.append((position, local_id))
-        if news and self._metrics.enabled:
-            self._metrics.counter("node_states_total").inc(len(news))
-        self._channel.send("committed", {"news": news})
-
-    # -- result collection -------------------------------------------------------
-
-    def _handle_collect(self, data: dict) -> None:
-        """Ship the node partial (detached from any shared store)."""
-        self._channel.send(
-            "partial",
-            {"result": self._detached_partial(), "metrics": self._metrics.snapshot()},
-        )
-
-    def _handle_summarize(self, data: dict) -> None:
-        """Ship the partial's counters only — no state leaves the node."""
-        partial = self._partial
-        self._channel.send(
-            "summary",
-            {
-                "states": len(self._table),
-                "edge_count": partial.edge_count,
-                "truncated": partial.truncated,
-                "metrics": self._metrics.snapshot(),
-            },
-        )
-
-    def _detached_partial(self) -> SearchResult:
-        """A picklable copy of the partial over a plain intern table.
-
-        A :class:`SharedInternTable` is a view of a local shared-memory
-        segment and cannot cross the wire; re-interning in discovery
-        order preserves every dense local id, so parent links and depths
-        keep their meaning verbatim.
-        """
-        partial = self._partial
-        table = InternTable()
-        for state in partial.interning.states():
-            table.intern(state)
-        return SearchResult(
-            initial=partial.initial,
-            interning=table,
-            edges=list(partial.edges),
-            edge_count=partial.edge_count,
-            depth_reached=partial.depth_reached,
-            truncated=partial.truncated,
-            parents=dict(partial.parents),
-            retention=partial.retention,
-            depths=dict(partial.depths),
-        )
-
-    _HANDLERS = {
-        "lease": _handle_lease,
-        "reset": _handle_reset,
-        "init-root": _handle_init_root,
-        "expand": _handle_expand,
-        "probe": _handle_probe,
-        "commit": _handle_commit,
-        "collect": _handle_collect,
-        "summarize": _handle_summarize,
-    }
 
 
 def run_agent(

@@ -5,44 +5,27 @@
 ``hello`` handshakes it sends each agent one ``lease`` frame binding its
 node index, local expansion configuration and (for agents that were not
 forked with the successor closure) a picklable
-:class:`~repro.distributed.context.ExplorationContext`.  Health checks
-mirror the worker pool's: any frame refreshes a node's ``last_seen``,
-quiet nodes are pinged (agents answer from a receiver thread even while
-expanding), and a node that misses the heartbeat window — or whose
-socket closes, cleanly or mid-frame — raises
+:class:`~repro.distributed.context.ExplorationContext`.
+
+:class:`DistributedEngine` drives the one partitioned level loop of
+:mod:`repro.search.sharded` (:func:`~repro.search.sharded.run_levels`:
+expand, walk, probe, commit) over a :class:`TcpTransport`: node ``i``
+serves partition ``i``, so every intern table and partial result lives
+on its node and the coordinator interns nothing but the root — which is
+what lifts the single-machine memory ceiling (measured by
+``BENCH_E17.json``).  Ownership is ``shard_of(state, nodes)`` evaluated
+*only* in the coordinator process, so per-process hash randomisation
+cannot split a state across nodes, and the merged result is
+**bit-identical** to single-node, single-shard BFS for every node count,
+retention mode and transport.
+
+Health checks mirror the worker pool's: any frame refreshes a node's
+``last_seen``, quiet nodes are pinged (agents answer from a receiver
+thread even while expanding), and a node that misses the heartbeat
+window — or whose socket closes, cleanly or mid-frame — raises
 :class:`~repro.errors.NodeCrashError`, which the engine maps onto the
 pool's crash-respawn semantics (respawn the agents, re-run the
 exploration; successor functions are pure, so the retry is invisible).
-
-:class:`DistributedEngine` drives the exploration itself, one
-breadth-first level at a time:
-
-1. **Expand** — the level's refs are chunked per owning node and leased
-   out; a node that drains its own chunks *steals the tail half* of the
-   fullest remaining node's queue (the coordinator fetches the stolen
-   states from the straggler's table and re-dispatches them inline).
-2. **Route** — the coordinator replays the expansions in global
-   discovery order, evaluates search predicates, assigns each generated
-   edge a global position and routes its target to the owning node
-   (ownership is ``shard_of(state, nodes)`` evaluated *only* in the
-   coordinator process, so per-process hash randomisation cannot split
-   a state across nodes).
-3. **Probe** (only when a limit is in reach) — owners report which
-   candidate positions would intern *new* states, so the coordinator
-   can place the ``max_configurations`` cut exactly where single-shard
-   BFS would.
-4. **Commit** — each node interns its share up to the cut, records
-   depths and parent links in its partial result, and returns the
-   positions it actually added; their global order forms the next
-   level's frontier.
-
-Because interning decisions, limit checks and predicate hits all happen
-in (or are sequenced by) this replay, the merged result is
-**bit-identical** to single-node, single-shard BFS — states, depths,
-truncation flags, verdicts and witnesses — for every node count,
-retention mode and transport.  The coordinator itself interns nothing
-but the root: the tables live on the nodes, which is what lifts the
-single-machine memory ceiling (measured by ``BENCH_E17.json``).
 """
 
 from __future__ import annotations
@@ -58,21 +41,15 @@ from repro.distributed.context import ExplorationContext
 from repro.distributed.transport import PROTOCOL_VERSION, Channel
 from repro.errors import DistributedError, NodeCrashError, SearchError
 from repro.obs.metrics import resolve_metrics
-from repro.obs.trace import get_tracer
-from repro.search.engine import (
-    RETAIN_COUNTS,
-    RETAIN_FULL,
-    RETENTION_MODES,
-    SearchLimits,
-    SearchResult,
-)
-from repro.search.sharded import DEFAULT_BATCH_SIZE, shard_of
+from repro.search.engine import RETAIN_FULL, RETENTION_MODES, SearchLimits, SearchResult
+from repro.search.sharded import DEFAULT_BATCH_SIZE, run_levels, search_partitions
 
 __all__ = [
     "Coordinator",
     "DistributedEngine",
     "DistributedSummary",
     "NodeHandle",
+    "TcpTransport",
 ]
 
 # How often a quiet node is pinged, and how long it may stay silent
@@ -183,21 +160,9 @@ class Coordinator:
         coordinator can serve successive engines (each engine re-leases
         exactly when :attr:`lease_state` differs from what it needs).
         """
-        for handle in self._handles:
-            lease = dict(config)
-            lease["node"] = handle.index
-            lease["context"] = context
-            handle.channel.send("lease", lease)
-        for handle in self._handles:
-            while True:
-                kind, data = handle.channel.recv(timeout=HEARTBEAT_TIMEOUT_SECONDS)
-                if kind != "pong":  # stray heartbeat replies may interleave
-                    break
-            if kind == "error":
-                raise DistributedError(f"node {handle.index} rejected its lease: {data['message']}")
-            if kind != "ready":
-                raise DistributedError(f"node {handle.index}: expected ready, got {kind!r}")
-            handle.last_seen = time.monotonic()
+        TcpTransport(self, chunk_size=1).broadcast(
+            "lease", lambda index: {**config, "node": index, "context": context}
+        )
         self.leased = True
         self.lease_state = (tuple(sorted(config.items())), context)
 
@@ -254,6 +219,190 @@ class DistributedSummary:
         return max(self.node_states) if self.node_states else 0
 
 
+class TcpTransport:
+    """The level loop's transport over leased TCP node agents.
+
+    Node ``i`` serves partition ``i`` of
+    :func:`~repro.search.sharded.run_levels`.  :meth:`broadcast` awaits
+    each node's reply frame of the request's kind, folding any ``metrics``
+    snapshot in under a ``node=N`` label.  :meth:`expand` leases the
+    level's refs out per owning node, one chunk at a time; an idle node
+    steals the tail half of the fullest node's chunks, whose states are
+    fetched from the straggler's receiver thread and re-sent inline.
+    Every wait is health-checked (see the module docs).  On exiting its
+    context the transport records the run's frame and byte traffic.
+    """
+
+    def __init__(
+        self,
+        coordinator: Coordinator,
+        *,
+        chunk_size: int,
+        heartbeat_timeout: float = HEARTBEAT_TIMEOUT_SECONDS,
+        record=None,
+    ) -> None:
+        self.count = coordinator.nodes
+        self._handles = coordinator.handles
+        self._chunk_size = chunk_size
+        self._heartbeat_timeout = heartbeat_timeout
+        self._record = record
+        self._baseline = [_traffic(handle.channel) for handle in self._handles]
+        for handle in self._handles:
+            handle.last_seen = time.monotonic()  # silence counts from the start of the run
+
+    def __enter__(self) -> "TcpTransport":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._record is not None:
+            for handle, before in zip(self._handles, self._baseline):
+                _flush_traffic(self._record, handle.index, before, _traffic(handle.channel))
+
+    def broadcast(self, kind: str, payload: Callable[[int], dict | None]) -> dict[int, Any]:
+        """Send ``kind`` to every node whose payload is not ``None``; ``{index: reply}``."""
+        pending = {}
+        for handle in self._handles:
+            data = payload(handle.index)
+            if data is not None:
+                handle.channel.send(kind, data)
+                pending[handle.index] = handle
+        replies: dict[int, Any] = {}
+        while pending:
+            for index, handle in list(pending.items()):
+                frame = self._poll(handle)
+                if frame is None:
+                    self._check_health(handle)
+                    continue
+                reply_kind, data = frame
+                if reply_kind == "pong":
+                    continue
+                if reply_kind == "error":
+                    raise DistributedError(f"node {index}: {data['message']}")
+                if reply_kind != kind:
+                    raise DistributedError(f"node {index}: expected {kind!r}, got {reply_kind!r}")
+                replies[index] = data
+                del pending[index]
+        if self._record is not None:
+            for index in sorted(replies):
+                self._record.fold(replies[index].get("metrics"), node=str(index))
+        return replies
+
+    def expand(self, level: list[tuple[int, int]]) -> dict:
+        """Expand one level across the nodes; ``{ref: [edges]}`` for every ref."""
+        handles = self._handles
+        own: dict[int, deque] = {handle.index: deque() for handle in handles}
+        grouped: dict[int, list] = {handle.index: [] for handle in handles}
+        for ref in level:
+            grouped[ref[0]].append(ref)
+        for index, refs in grouped.items():
+            for start in range(0, len(refs), self._chunk_size):
+                own[index].append(refs[start : start + self._chunk_size])
+        total = sum(len(queue) for queue in own.values())
+        ready: dict[int, deque] = {handle.index: deque() for handle in handles}
+        expanding: set[int] = set()
+        fetching: dict[int, tuple[int, list]] = {}  # victim -> (thief, stolen chunks)
+        expansions: dict = {}
+        done = 0
+        while done < total:
+            for handle in handles:
+                index = handle.index
+                if index in expanding:
+                    continue
+                entries = None
+                if ready[index]:
+                    entries = ready[index].popleft()
+                elif own[index]:
+                    entries = [(ref, ref[1], None) for ref in own[index].popleft()]
+                else:
+                    self._try_steal(index, own, fetching)
+                if entries is not None:
+                    handle.channel.send("expand", {"entries": entries})
+                    expanding.add(index)
+            for handle in handles:
+                # Busy nodes get a blocking poll slice; idle ones a
+                # non-blocking drain, so their pongs keep them healthy.
+                busy = handle.index in expanding or handle.index in fetching
+                while True:
+                    frame = self._poll(handle, timeout=_POLL_SECONDS if busy else 0.0)
+                    if frame is None:
+                        break
+                    kind, data = frame
+                    if kind == "pong":
+                        continue
+                    if kind == "error":
+                        raise DistributedError(f"node {handle.index}: {data['message']}")
+                    if kind == "expand" and handle.index in expanding:
+                        expansions.update(data["results"])
+                        expanding.discard(handle.index)
+                        done += 1
+                        break
+                    if kind == "states" and handle.index in fetching:
+                        thief, chunks = fetching.pop(handle.index)
+                        states = iter(data["states"])
+                        for chunk in chunks:
+                            ready[thief].append([(ref, None, next(states)) for ref in chunk])
+                        continue  # an expansion reply may still be queued behind
+                    raise DistributedError(
+                        f"node {handle.index}: unexpected {kind!r} during expansion"
+                    )
+                self._check_health(handle)
+        return expansions
+
+    def _try_steal(
+        self, thief: int, own: dict[int, deque], fetching: dict[int, tuple[int, list]]
+    ) -> None:
+        """Rob the fullest node of the tail half of its unexpanded chunks."""
+        if any(fetched_for == thief for fetched_for, _ in fetching.values()):
+            return  # one outstanding steal per thief
+        victim = None
+        for index, queue in own.items():
+            if index == thief or index in fetching or not queue:
+                continue
+            if victim is None or len(queue) > len(own[victim]):
+                victim = index
+        if victim is None or len(own[victim]) < 2:
+            return  # nothing worth stealing: the victim keeps its last chunk
+        count = len(own[victim]) // 2
+        stolen = [own[victim].pop() for _ in range(count)]
+        stolen.reverse()  # keep the tail segment in level order
+        ids = [ref[1] for chunk in stolen for ref in chunk]
+        self._handles[victim].channel.send("fetch", {"ids": ids})
+        fetching[victim] = (thief, stolen)
+        if self._record is not None:
+            self._record.counter("dist_steals_total").inc()
+
+    def _poll(self, handle: NodeHandle, timeout: float = _POLL_SECONDS) -> tuple[str, Any] | None:
+        """One frame from ``handle`` within a poll slice, annotated on crash."""
+        try:
+            frame = handle.channel.try_recv(timeout)
+        except NodeCrashError as error:
+            raise NodeCrashError(f"node {handle.index} (pid {handle.pid}): {error}") from error
+        if frame is not None:
+            handle.last_seen = time.monotonic()
+            if frame[0] == "pong" and handle.last_ping:
+                if self._record is not None:
+                    self._record.histogram("dist_heartbeat_seconds").observe(
+                        handle.last_seen - handle.last_ping
+                    )
+                handle.last_ping = 0.0
+        return frame
+
+    def _check_health(self, handle: NodeHandle) -> None:
+        """Ping a quiet node; declare it dead past the heartbeat window."""
+        now = time.monotonic()
+        quiet = now - handle.last_seen
+        if quiet > self._heartbeat_timeout:
+            raise NodeCrashError(
+                f"node {handle.index} (pid {handle.pid}) missed heartbeats for "
+                f"{quiet:.1f}s"
+            )
+        if handle.process is not None and not handle.process.is_alive():
+            raise NodeCrashError(f"node {handle.index} (pid {handle.pid}) process died")
+        if quiet > PING_INTERVAL_SECONDS and now - handle.last_ping > PING_INTERVAL_SECONDS:
+            handle.last_ping = now
+            handle.channel.send("ping", {})
+
+
 class DistributedEngine:
     """Two-level distributed BFS over TCP node agents (see module docs).
 
@@ -294,8 +443,9 @@ class DistributedEngine:
             When enabled, the lease asks each agent to keep a local
             registry whose snapshot rides back on the collect/summarize
             reply and is folded in with a ``node=N`` label; the
-            coordinator itself records frame/byte traffic, heartbeat
-            round-trips, lease and steal events.
+            coordinator itself records the level loop's counters,
+            frame/byte traffic, heartbeat round-trips, lease and steal
+            events.
     """
 
     def __init__(
@@ -340,7 +490,6 @@ class DistributedEngine:
         self._retries = retries
         self._heartbeat_timeout = heartbeat_timeout
         self._metrics = metrics
-        self._record = None  # the enabled registry, set for the span of one run
         self._launcher = None
         self._coordinator: Coordinator | None = None
         self._finalizer = None
@@ -437,18 +586,28 @@ class DistributedEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _run_with_recovery(self, run: Callable[[], Any]) -> Any:
-        """Re-run a crashed exploration on a respawned local cluster.
+    def _on_nodes(self, work: Callable[[TcpTransport, Any], Any]) -> Any:
+        """Run ``work(transport, record)`` on the leased cluster, recovering crashes.
 
-        This is the pool's crash-respawn contract lifted to node
-        granularity: a node's intern table dies with it, so the finest
-        sound re-execution unit is the whole exploration — which is pure
+        A crashed exploration is re-run on a respawned local cluster:
+        this is the pool's crash-respawn contract lifted to node
+        granularity — a node's intern table dies with it, so the finest
+        sound re-execution unit is the whole exploration, which is pure
         and therefore repeats bit-identically.
         """
         attempt = 0
         while True:
+            coordinator = self._ensure_cluster()
+            registry = resolve_metrics(self._metrics)
+            record = registry if registry.enabled else None
             try:
-                return run()
+                with TcpTransport(
+                    coordinator,
+                    chunk_size=self._batch_size * self._local_workers,
+                    heartbeat_timeout=self._heartbeat_timeout,
+                    record=record,
+                ) as transport:
+                    return work(transport, record)
             except NodeCrashError:
                 attempt += 1
                 if self._launcher is None or attempt > self._retries:
@@ -468,8 +627,27 @@ class DistributedEngine:
         ``on_state`` fires in global discovery order, exactly as under
         the single-shard engine.
         """
-        return self._run_with_recovery(
-            lambda: self._explore_once(initial, on_state=on_state)
+        return self.search(initial, None, on_state=on_state)[1]
+
+    def search(
+        self,
+        initial: Any,
+        predicate: Callable[[Any], bool] | None,
+        on_state: Callable[[Any, int], None] | None = None,
+    ) -> tuple[list | None, SearchResult]:
+        """Search for a state satisfying ``predicate`` (``None``: just explore).
+
+        Same contract as :meth:`ShardedEngine.search
+        <repro.search.sharded.ShardedEngine.search>`: the witness is the
+        one single-shard BFS finds, reconstructed from the merged parent
+        map.  ``on_state`` fires coordinator-side in global discovery
+        order for each newly interned state.
+        """
+        return self._on_nodes(
+            lambda transport, record: search_partitions(
+                transport, initial, predicate, limits=self._limits,
+                retention=self._retention, on_state=on_state, record=record,
+            )
         )
 
     def explore_summary(self, initial: Any) -> DistributedSummary:
@@ -478,491 +656,23 @@ class DistributedEngine:
         The memory-mode entry point: node tables are never collected, so
         the coordinator's resident interned states stay at the root.
         """
-        return self._run_with_recovery(lambda: self._summary_once(initial))
 
-    def search(
-        self,
-        initial: Any,
-        predicate: Callable[[Any], bool],
-        on_state: Callable[[Any, int], None] | None = None,
-    ) -> tuple[list | None, SearchResult]:
-        """Search for a state satisfying ``predicate``.
-
-        Same contract as :meth:`ShardedEngine.search
-        <repro.search.sharded.ShardedEngine.search>`: the witness is the
-        one single-shard BFS finds, reconstructed from the merged parent
-        map.  ``on_state`` fires coordinator-side in global discovery
-        order for each newly interned state.
-        """
-        return self._run_with_recovery(
-            lambda: self._search_once(initial, predicate, on_state=on_state)
-        )
-
-    def _explore_once(self, initial, on_state=None) -> SearchResult:
-        run = self._run_levels(initial, on_state=on_state)
-        return self._collect_merged(initial, run)
-
-    def _search_once(self, initial, predicate, on_state=None) -> tuple[list | None, SearchResult]:
-        run = self._run_levels(initial, predicate=predicate, on_state=on_state)
-        merged = self._collect_merged(initial, run)
-        if run["hit"] is None:
-            return None, merged
-        source, edge = run["hit"]
-        if edge is None:
-            return [], merged  # the initial state satisfied the predicate
-        path = merged.path_to(source)
-        path.append(edge)
-        return path, merged
-
-    def _summary_once(self, initial) -> DistributedSummary:
-        run = self._run_levels(initial)
-        coordinator = run["coordinator"]
-        replies = self._broadcast(coordinator, "summarize", lambda index: {}, expect="summary")
-        self._fold_node_metrics(replies)
-        node_states = tuple(replies[index]["states"] for index in sorted(replies))
-        return DistributedSummary(
-            states=run["states_total"],
-            edges=run["edges_total"],
-            depth_reached=run["depth_reached"],
-            truncated=run["truncated"],
-            coordinator_states=1,  # the pinned root; nothing else is coordinator-resident
-            node_states=node_states,
-        )
-
-    def _fold_node_metrics(self, replies: dict[int, Any]) -> None:
-        """Fold each node's registry snapshot in under a ``node=N`` label."""
-        registry = resolve_metrics(self._metrics)
-        if not registry.enabled:
-            return
-        for index in sorted(replies):
-            registry.fold(replies[index].get("metrics"), node=str(index))
-
-    def _collect_merged(self, initial, run: dict) -> SearchResult:
-        coordinator = run["coordinator"]
-        replies = self._broadcast(coordinator, "collect", lambda index: {}, expect="partial")
-        self._fold_node_metrics(replies)
-        partials = [replies[index]["result"] for index in sorted(replies)]
-        merged = SearchResult.merge_all(partials)
-        merged.initial = merged.interning.canonical(initial)
-        merged.depth_reached = run["depth_reached"]
-        merged.truncated = merged.truncated or run["truncated"]
-        return merged
-
-    # -- the level loop ----------------------------------------------------------
-
-    def _run_levels(
-        self,
-        initial: Any,
-        *,
-        predicate: Callable[[Any], bool] | None = None,
-        on_state: Callable[[Any, int], None] | None = None,
-    ) -> dict:
-        """Run the distributed level-synchronous exploration.
-
-        Returns the run record: counters, the ``hit`` (``None``, or
-        ``(state, None)`` for a root hit, or ``(source_state, edge)``)
-        and the coordinator, for the collection phase.
-        """
-        coordinator = self._ensure_cluster()
-        registry = resolve_metrics(self._metrics)
-        record = registry if registry.enabled else None
-        baseline = None
-        if record is not None:
-            self._record = record
-            baseline = {
-                handle.index: _traffic(handle.channel) for handle in coordinator.handles
-            }
-        try:
-            return self._run_levels_inner(
-                coordinator, initial, predicate=predicate, on_state=on_state
+        def summarize(transport: TcpTransport, record) -> DistributedSummary:
+            run = run_levels(
+                transport, initial, limits=self._limits, retention=self._retention,
+                record=record,
             )
-        finally:
-            self._record = None
-            if record is not None:
-                for handle in coordinator.handles:
-                    _flush_traffic(
-                        record, handle.index, baseline[handle.index], _traffic(handle.channel)
-                    )
-
-    def _run_levels_inner(
-        self,
-        coordinator: Coordinator,
-        initial: Any,
-        *,
-        predicate: Callable[[Any], bool] | None = None,
-        on_state: Callable[[Any, int], None] | None = None,
-    ) -> dict:
-        """The level loop proper, inside :meth:`_run_levels`'s metric scope."""
-        limits = self._limits
-        record = self._record
-        tracer = get_tracer()
-        keep_parents = self._retention != RETAIN_COUNTS or predicate is not None
-        keep_edges = self._retention == RETAIN_FULL
-        self._broadcast(
-            coordinator,
-            "reset",
-            lambda index: {
-                "retention": self._retention,
-                "keep_parents": keep_parents,
-                "initial": initial,
-            },
-            expect="ok",
-        )
-        root_owner = shard_of(initial, self._nodes)
-        root_handle = coordinator.handles[root_owner]
-        root_handle.channel.send("init-root", {"state": initial})
-        root_reply = self._gather(coordinator, "ok", indices=[root_owner])
-        root_local = root_reply[root_owner]["local_id"]
-
-        run = {
-            "coordinator": coordinator,
-            "states_total": 1,
-            "edges_total": 0,
-            "depth_reached": 0,
-            "truncated": False,
-            "hit": None,
-        }
-        if on_state is not None:
-            on_state(initial, 0)
-        if predicate is not None and predicate(initial):
-            run["hit"] = (initial, None)
-            return run
-
-        level: list[tuple[int, int]] = [(root_owner, root_local)]
-        depth = 0
-        while level:
-            run["depth_reached"] = depth
-            if depth >= limits.max_depth:
-                break
-            if record is not None:
-                record.gauge("engine_frontier_states").high_water(len(level))
-            with tracer.span("expand", depth=depth, frontier=len(level)):
-                expansions = self._expand_level(coordinator, level)
-            outcome = self._replay_level(
-                coordinator,
-                level,
-                expansions,
-                depth=depth,
-                run=run,
-                predicate=predicate,
-                on_state=on_state,
-                keep_edges=keep_edges,
+            replies = transport.broadcast("summarize", lambda index: {})
+            return DistributedSummary(
+                states=run.states,
+                edges=run.edges,
+                depth_reached=run.depth_reached,
+                truncated=run.truncated,
+                coordinator_states=1,  # the pinned root; nothing else is coordinator-resident
+                node_states=tuple(replies[index]["states"] for index in sorted(replies)),
             )
-            if outcome["stop"]:
-                break
-            level = outcome["next_level"]
-            depth += 1
-        return run
 
-    def _expand_level(
-        self, coordinator: Coordinator, level: list[tuple[int, int]]
-    ) -> dict:
-        """Expand one level across the nodes, stealing straggler tails.
-
-        Each node's refs are chunked and dispatched one chunk at a time;
-        a node with nothing left gets the tail half of the fullest
-        remaining queue — its states fetched from the owner (whose
-        receiver thread answers even mid-expansion) and re-sent inline.
-        Returns ``{ref: [edges]}`` for every ref of the level.
-        """
-        handles = coordinator.handles
-        chunk_size = self._batch_size * self._local_workers
-        own: dict[int, deque] = {handle.index: deque() for handle in handles}
-        grouped: dict[int, list] = {handle.index: [] for handle in handles}
-        for ref in level:
-            grouped[ref[0]].append(ref)
-        for index, refs in grouped.items():
-            for start in range(0, len(refs), chunk_size):
-                own[index].append(refs[start : start + chunk_size])
-        total = sum(len(queue) for queue in own.values())
-        ready: dict[int, deque] = {handle.index: deque() for handle in handles}
-        expanding: set[int] = set()
-        fetching: dict[int, tuple[int, list]] = {}  # victim -> (thief, stolen chunks)
-        expansions: dict = {}
-        done = 0
-        while done < total:
-            for handle in handles:
-                index = handle.index
-                if index in expanding:
-                    continue
-                entries = None
-                if ready[index]:
-                    entries = ready[index].popleft()
-                elif own[index]:
-                    chunk = own[index].popleft()
-                    entries = [(ref, ref[1], None) for ref in chunk]
-                else:
-                    self._try_steal(handles, index, own, fetching)
-                if entries is not None:
-                    handle.channel.send("expand", {"entries": entries})
-                    expanding.add(index)
-            for handle in handles:
-                # Busy nodes get a blocking poll slice; idle ones a
-                # non-blocking drain, so their pongs keep them healthy.
-                busy = handle.index in expanding or handle.index in fetching
-                while True:
-                    frame = self._poll(handle, timeout=_POLL_SECONDS if busy else 0.0)
-                    if frame is None:
-                        break
-                    kind, data = frame
-                    if kind == "pong":
-                        continue
-                    if kind == "error":
-                        raise DistributedError(f"node {handle.index}: {data['message']}")
-                    if kind == "expanded" and handle.index in expanding:
-                        for ref, edges in data["results"]:
-                            expansions[ref] = edges
-                        expanding.discard(handle.index)
-                        done += 1
-                        break
-                    if kind == "states" and handle.index in fetching:
-                        thief, chunks = fetching.pop(handle.index)
-                        states = iter(data["states"])
-                        for chunk in chunks:
-                            ready[thief].append([(ref, None, next(states)) for ref in chunk])
-                        continue  # an expansion reply may still be queued behind
-                    raise DistributedError(
-                        f"node {handle.index}: unexpected {kind!r} during expansion"
-                    )
-                self._check_health(handle)
-        return expansions
-
-    def _try_steal(
-        self,
-        handles: list[NodeHandle],
-        thief: int,
-        own: dict[int, deque],
-        fetching: dict[int, tuple[int, list]],
-    ) -> None:
-        """Rob the fullest node of the tail half of its unexpanded chunks."""
-        if any(fetched_for == thief for fetched_for, _ in fetching.values()):
-            return  # one outstanding steal per thief
-        victim = None
-        for index, queue in own.items():
-            if index == thief or index in fetching or not queue:
-                continue
-            if victim is None or len(queue) > len(own[victim]):
-                victim = index
-        if victim is None or len(own[victim]) < 2:
-            return  # nothing worth stealing: the victim keeps its last chunk
-        count = len(own[victim]) // 2
-        stolen = [own[victim].pop() for _ in range(count)]
-        stolen.reverse()  # keep the tail segment in level order
-        ids = [ref[1] for chunk in stolen for ref in chunk]
-        handles[victim].channel.send("fetch", {"ids": ids})
-        fetching[victim] = (thief, stolen)
-        if self._record is not None:
-            self._record.counter("dist_steals_total").inc()
-
-    def _replay_level(
-        self,
-        coordinator: Coordinator,
-        level: list[tuple[int, int]],
-        expansions: dict,
-        *,
-        depth: int,
-        run: dict,
-        predicate,
-        on_state,
-        keep_edges: bool,
-    ) -> dict:
-        """Replay one level in global discovery order and commit it.
-
-        Assigns every generated edge its single-shard BFS position,
-        evaluates the search predicate, locates the exact limit cut
-        (probing owners for would-be-new states only when
-        ``max_configurations`` is in reach), then sends each node its
-        committed share.  Returns the next level's ordered frontier and
-        whether the exploration stops here (hit or truncation).
-        """
-        limits = self._limits
-        edges_total = run["edges_total"]
-        potential = sum(len(expansions.get(ref, ())) for ref in level)
-        edge_cut = (
-            limits.max_steps - edges_total - 1
-            if edges_total + potential >= limits.max_steps
-            else None
-        )
-        # Materialise the ordered walk up to the earliest already-known
-        # stop; positions past a predicate hit or the edge cut are never
-        # counted, retained or interned by single-shard BFS.
-        walk: list[tuple[int, Any, int]] = []  # (source_node, edge, owner_node)
-        hit_pos = None
-        position = 0
-        for ref in level:
-            for edge in expansions.get(ref, ()):
-                walk.append((ref[0], edge, shard_of(edge.target, self._nodes)))
-                if predicate is not None and hit_pos is None and predicate(edge.target):
-                    hit_pos = position
-                if position == edge_cut or hit_pos is not None:
-                    break
-                position += 1
-            else:
-                continue
-            break
-
-        need_probe = run["states_total"] + len(walk) >= limits.max_configurations
-        news_positions: set[int] = set()
-        if need_probe:
-            per_owner: dict[int, list] = {handle.index: [] for handle in coordinator.handles}
-            for pos, (_, edge, owner) in enumerate(walk):
-                if pos != hit_pos:
-                    per_owner[owner].append((pos, edge.target))
-            replies = self._broadcast(
-                coordinator, "probe", lambda index: {"targets": per_owner[index]}, expect="probed"
-            )
-            for data in replies.values():
-                news_positions.update(data["news"])
-
-        outcome = None  # ("hit", pos) | ("trunc", pos) | None
-        running = run["states_total"]
-        for pos in range(len(walk)):
-            if pos == hit_pos:
-                outcome = ("hit", pos)
-                break
-            if pos in news_positions:
-                running += 1
-            if running >= limits.max_configurations or edges_total + pos + 1 >= limits.max_steps:
-                outcome = ("trunc", pos)
-                break
-
-        if outcome is None:
-            count_cut = len(walk) - 1
-            intern_limit, skip, trunc_owner = count_cut, None, None
-        elif outcome[0] == "hit":
-            count_cut = outcome[1]
-            intern_limit, skip, trunc_owner = outcome[1], outcome[1], None
-        else:
-            count_cut = outcome[1]
-            intern_limit, skip = outcome[1], None
-            trunc_owner = walk[outcome[1]][0]
-
-        replies = self._broadcast(
-            coordinator,
-            "commit",
-            lambda index: self._commit_payload(
-                index, walk, depth + 1, count_cut, intern_limit, skip, trunc_owner, keep_edges
-            ),
-            expect="committed",
-        )
-        news: list[tuple[int, tuple[int, int]]] = []
-        for index, data in replies.items():
-            news.extend((pos, (index, local_id)) for pos, local_id in data["news"])
-        news.sort()
-        run["edges_total"] += count_cut + 1 if walk else 0
-        run["states_total"] += len(news)
-        if on_state is not None:
-            for pos, _ in news:
-                on_state(walk[pos][1].target, depth + 1)
-        if outcome is not None and outcome[0] == "hit":
-            edge = walk[outcome[1]][1]
-            run["hit"] = (edge.source, edge)
-            return {"stop": True, "next_level": []}
-        if outcome is not None:
-            run["truncated"] = True
-            return {"stop": True, "next_level": []}
-        return {"stop": False, "next_level": [ref for _, ref in news]}
-
-    @staticmethod
-    def _commit_payload(
-        index: int,
-        walk: list,
-        depth: int,
-        count_cut: int,
-        intern_limit: int,
-        skip: int | None,
-        trunc_owner: int | None,
-        keep_edges: bool,
-    ) -> dict:
-        candidates = [
-            (pos, edge)
-            for pos, (_, edge, owner) in enumerate(walk[: intern_limit + 1])
-            if owner == index and pos != skip
-        ]
-        source_edges = [
-            edge for _, (source, edge, _) in zip(range(count_cut + 1), walk) if source == index
-        ]
-        return {
-            "depth": depth,
-            "candidates": candidates,
-            "edge_count": len(source_edges),
-            "edges": source_edges if keep_edges else None,
-            "truncated": index == trunc_owner,
-        }
-
-    # -- node plumbing -----------------------------------------------------------
-
-    def _broadcast(
-        self,
-        coordinator: Coordinator,
-        kind: str,
-        payload: Callable[[int], dict],
-        *,
-        expect: str,
-    ) -> dict[int, Any]:
-        """Send one frame per node and await each node's reply."""
-        for handle in coordinator.handles:
-            handle.channel.send(kind, payload(handle.index))
-        return self._gather(coordinator, expect)
-
-    def _gather(
-        self, coordinator: Coordinator, expect: str, indices: list[int] | None = None
-    ) -> dict[int, Any]:
-        """One ``expect`` frame from every (selected) node, health-checked."""
-        handles = coordinator.handles if indices is None else [
-            coordinator.handles[index] for index in indices
-        ]
-        pending = {handle.index: handle for handle in handles}
-        replies: dict[int, Any] = {}
-        while pending:
-            for index, handle in list(pending.items()):
-                frame = self._poll(handle)
-                if frame is None:
-                    self._check_health(handle)
-                    continue
-                kind, data = frame
-                if kind == "pong":
-                    continue
-                if kind == "error":
-                    raise DistributedError(f"node {index}: {data['message']}")
-                if kind != expect:
-                    raise DistributedError(
-                        f"node {index}: expected {expect!r}, got {kind!r}"
-                    )
-                replies[index] = data
-                del pending[index]
-        return replies
-
-    def _poll(self, handle: NodeHandle, timeout: float = _POLL_SECONDS) -> tuple[str, Any] | None:
-        """One frame from ``handle`` within a poll slice, annotated on crash."""
-        try:
-            frame = handle.channel.try_recv(timeout)
-        except NodeCrashError as error:
-            raise NodeCrashError(f"node {handle.index} (pid {handle.pid}): {error}") from error
-        if frame is not None:
-            handle.last_seen = time.monotonic()
-            if frame[0] == "pong" and handle.last_ping:
-                if self._record is not None:
-                    self._record.histogram("dist_heartbeat_seconds").observe(
-                        handle.last_seen - handle.last_ping
-                    )
-                handle.last_ping = 0.0
-        return frame
-
-    def _check_health(self, handle: NodeHandle) -> None:
-        """Ping a quiet node; declare it dead past the heartbeat window."""
-        now = time.monotonic()
-        quiet = now - handle.last_seen
-        if quiet > self._heartbeat_timeout:
-            raise NodeCrashError(
-                f"node {handle.index} (pid {handle.pid}) missed heartbeats for "
-                f"{quiet:.1f}s"
-            )
-        if handle.process is not None and not handle.process.is_alive():
-            raise NodeCrashError(f"node {handle.index} (pid {handle.pid}) process died")
-        if quiet > PING_INTERVAL_SECONDS and now - handle.last_ping > PING_INTERVAL_SECONDS:
-            handle.last_ping = now
-            handle.channel.send("ping", {})
+        return self._on_nodes(summarize)
 
 
 def _traffic(channel: Channel) -> tuple[int, int, int, int]:
@@ -979,14 +689,10 @@ def _flush_traffic(
     record, node: int, before: tuple[int, int, int, int], after: tuple[int, int, int, int]
 ) -> None:
     """Record one run's frame/byte deltas for one node channel."""
-    record.counter("dist_frames_total", direction="sent", node=str(node)).inc(after[0] - before[0])
-    record.counter("dist_bytes_total", direction="sent", node=str(node)).inc(after[1] - before[1])
-    record.counter("dist_frames_total", direction="received", node=str(node)).inc(
-        after[2] - before[2]
-    )
-    record.counter("dist_bytes_total", direction="received", node=str(node)).inc(
-        after[3] - before[3]
-    )
+    names = ("dist_frames_total", "dist_bytes_total") * 2
+    directions = ("sent", "sent", "received", "received")
+    for name, direction, old, new in zip(names, directions, before, after):
+        record.counter(name, direction=direction, node=str(node)).inc(new - old)
 
 
 def _close_launcher(launcher) -> None:

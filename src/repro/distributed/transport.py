@@ -47,7 +47,7 @@ __all__ = [
     "PROTOCOL_VERSION",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # A corrupt length prefix must not trigger a huge allocation; real level
 # frames on the case studies are a few MB at most.

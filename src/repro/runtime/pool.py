@@ -1,14 +1,13 @@
 """Persistent warm worker pools.
 
-The sharded engine's :class:`~repro.search.sharded.ProcessExpansionBackend`
-pays a full ``fork`` + pool-teardown cycle per exploration; experiment
-sweeps pay it once per sweep *point*.  A :class:`WorkerPool` amortises
-that cost: fork-based workers are spawned **once per context** — a
-``(key, function)`` pair such as one case study's successor closure, or
-one sweep's measure function — and stay warm across successive
-explorations and sweeps.  Contexts are health-checked and crashed
-workers are respawned lazily, with their in-flight tasks resubmitted, so
-a killed worker never loses results.
+Forking expansion workers per exploration would pay a full ``fork`` +
+teardown cycle each time; experiment sweeps would pay it once per sweep
+*point*.  A :class:`WorkerPool` amortises that cost: fork-based workers
+are spawned **once per context** — a ``(key, function)`` pair such as
+one case study's successor closure, or one sweep's measure function —
+and stay warm across successive explorations and sweeps.  Contexts are
+health-checked and crashed workers are respawned lazily, with their
+in-flight tasks resubmitted, so a killed worker never loses results.
 
 The pool executes *pure* functions: a task may be executed more than
 once (after a crash, or when a timeout races completion), and the first
@@ -32,7 +31,7 @@ Two context kinds share one API (``submit`` / ``events``):
   closures), payloads and results cross the pipes pickled.
 * :class:`SerialWorkerContext` — the deterministic in-process fallback,
   used when fork is unavailable or one worker was requested.  Results
-  are bit-identical either way: the sharded engine's replay (and the
+  are bit-identical either way: the sharded engine's level loop (and the
   scheduler's grid ordering) fix the result independently of *where*
   work ran.
 
@@ -67,15 +66,11 @@ from repro.obs.metrics import resolve_metrics
 from repro.search.shm_interning import (
     EncodedExpansion,
     SharedStateStore,
+    attached_store,
     set_process_writer_slot,
     shared_memory_available,
 )
-from repro.search.sharded import (
-    _drain_batches,
-    expand_shared_batch,
-    process_backend_available,
-    usable_cpu_count,
-)
+from repro.search.sharded import _drain_batches, process_backend_available, usable_cpu_count
 
 __all__ = [
     "DEFAULT_POOL_WORKERS",
@@ -445,18 +440,31 @@ def _expansion_fn(successors: Callable[[Any], Iterable], store_name: str | None 
 
     The function handles both traffic shapes, so one warm context can
     serve engines with shared interning on *and* off: classic batches
-    (``(state_id, state)`` entries) expand inline and return plain
-    pairs; id-only batches (3-tuple entries) resolve states through the
-    shared store named at context creation and return an
+    (``(ref, state)`` entries) expand inline and return plain pairs;
+    id-only batches (``(ref, shared_id, inline_state)`` entries, the
+    state inline only where the slab could not hold it) resolve states
+    through the shared store named at context creation, intern fresh
+    targets into this worker's slot and return an
     :class:`~repro.search.shm_interning.EncodedExpansion` blob.
     """
 
     def expand_batch(batch: list):
-        if batch and len(batch[0]) == 3:
-            if store_name is None:
-                raise WorkerPoolError("id-only expansion batch without a shared store")
-            return expand_shared_batch(successors, batch, store_name)
-        return [(state_id, list(successors(state))) for state_id, state in batch]
+        if not batch or len(batch[0]) == 2:
+            return [(ref, list(successors(state))) for ref, state in batch]
+        if store_name is None:
+            raise WorkerPoolError("id-only expansion batch without a shared store")
+        store = attached_store(store_name)
+        results = []
+        for ref, shared_id, state in batch:
+            if shared_id is not None:
+                state = store.get(shared_id)
+            else:
+                store.put(state)  # give the return trip an id for it too
+            edges = list(successors(state))
+            for edge in edges:
+                store.put(edge.target)
+            results.append((ref, edges))
+        return EncodedExpansion(store.dumps(results))
 
     return expand_batch
 
@@ -465,9 +473,11 @@ class PooledExpansionBackend:
     """Adapter from a warm worker context to the sharded-engine backend API.
 
     Satisfies the same ``expand(frontiers, batch_size)`` / ``close()``
-    protocol as :class:`~repro.search.sharded.ProcessExpansionBackend`.
-    For contexts leased under a caller-provided semantic key,
-    ``close()`` merely releases the lease — the workers stay warm in
+    protocol as :class:`~repro.search.sharded.SerialExpansionBackend`;
+    engine- and node-owned fork workers are leases on a private pool
+    (:func:`~repro.search.sharded.owned_expansion_backend`).  For
+    contexts leased under a caller-provided semantic key, ``close()``
+    merely releases the lease — the workers stay warm in
     their :class:`WorkerPool` for the next exploration; auto-keyed
     contexts (keyed by closure identity, unreachable once the backend is
     gone) are torn down on ``close()`` or garbage collection instead.

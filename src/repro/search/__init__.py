@@ -43,12 +43,16 @@ Sharded exploration
 -------------------
 
 :class:`~repro.search.sharded.ShardedEngine` runs the ``"bfs"`` strategy
-sharded: interned ids are hash-partitioned across per-level frontiers
-with work stealing, successor expansion is batched across worker
-processes (``workers > 1`` uses a fork-based multiprocessing pool, with
-a deterministic serial fallback), and per-shard partial results are
-folded with the associative :meth:`~repro.search.engine.SearchResult.merge`.
-Results are bit-identical to the single-shard engine's — including
+sharded: states are hash-partitioned across
+:class:`~repro.search.sharded.Partition` objects, one level loop
+(:func:`~repro.search.sharded.run_levels`) expands each level with work
+stealing — batched across fork workers leased from a
+:class:`repro.runtime.WorkerPool` when ``workers > 1``, with a
+deterministic serial fallback — and walks, probes and commits it in
+single-shard discovery order; the per-partition results are folded with
+the associative :meth:`~repro.search.engine.SearchResult.merge`.  The
+distributed engine (:mod:`repro.distributed`) drives the same loop over
+TCP node agents.  Results are bit-identical to the single-shard engine's — including
 witnesses and truncation flags (any truncated shard truncates the
 merge, which reachability reports as ``UNKNOWN``, never ``FAILS``).
 
@@ -91,11 +95,12 @@ from repro.search.shm_interning import (
     shared_memory_available,
 )
 from repro.search.sharded import (
-    ProcessExpansionBackend,
+    Partition,
     SerialExpansionBackend,
     ShardedEngine,
     ShardFrontiers,
     process_backend_available,
+    run_levels,
     shard_of,
     usable_cpu_count,
 )
@@ -111,7 +116,7 @@ __all__ = [
     "Engine",
     "Frontier",
     "InternTable",
-    "ProcessExpansionBackend",
+    "Partition",
     "SearchError",
     "SearchLimits",
     "SearchResult",
@@ -123,6 +128,7 @@ __all__ = [
     "iterate_paths",
     "make_frontier",
     "process_backend_available",
+    "run_levels",
     "shard_of",
     "shared_memory_available",
     "usable_cpu_count",

@@ -1,50 +1,50 @@
-"""Sharded, work-stealing exploration with merged results.
+"""The partitioned level loop: sharded and distributed exploration.
 
 The single-process :class:`~repro.search.engine.Engine` expands one
 state at a time; on the large case studies almost all of that time is
 spent in *successor enumeration* (guard evaluation over the database
 instance, instance construction).  This module parallelises exactly that
 hot loop while keeping the results **bit-identical** to a single-shard
-breadth-first exploration:
+breadth-first exploration.
 
-* interned configuration ids are hash-partitioned across ``shards``
-  shards — each shard owns the states whose structural hash falls into
-  its partition and keeps **its own frontier**
-  (:class:`ShardFrontiers`);
-* exploration is *level-synchronous*: all states at depth ``d`` are
-  expanded before any state at depth ``d + 1``, in batches
-  (``batch_size`` states per expansion task);
-* when a shard's frontier drains before the level is finished it
-  **steals** the tail half of the fullest remaining frontier, so batch
-  composition stays balanced across shards even under skewed hash
-  partitions (dispatch to actual worker processes is additionally
-  load-balanced by the pool handing batches to whichever worker is
-  free);
-* successor enumeration runs on an expansion backend — a
-  ``multiprocessing`` process pool (:class:`ProcessExpansionBackend`,
-  fork start method) or a deterministic single-process fallback
-  (:class:`SerialExpansionBackend`) that exercises the same shard
-  queues and stealing policy;
-* the coordinator then **replays** the expansions in global discovery
-  (interned-id) order — the exact order in which single-shard BFS pops
-  its FIFO frontier — interning targets, recording parent links and
-  checking limits after every generated edge.
+States are hash-partitioned (:func:`shard_of`) across ``k``
+:class:`Partition` objects; each partition owns the intern table and the
+partial :class:`~repro.search.engine.SearchResult` of its states.
+:func:`run_levels` — the only level loop — explores one breadth-first
+level at a time:
+
+1. **expand** the level (batches of states, tail-half work stealing
+   across per-partition queues — :class:`ShardFrontiers`);
+2. **walk** the generated edges in global discovery order — the exact
+   order in which single-shard BFS pops its FIFO frontier — checking
+   the search predicate and the edge limit;
+3. **probe** the owning partitions for would-be-new states, only when
+   ``max_configurations`` is within reach, so the state cut lands
+   exactly where single-shard BFS would put it;
+4. **commit** each partition's share up to the cut (interning, depths,
+   parent links — cross-partition parents marked ``-1`` — and the edges
+   generated from its states);
+5. fire ``on_state`` for the committed states in position order.
+
+The loop reaches partitions through a transport with two operations,
+``expand(level)`` and ``broadcast(kind, payload_fn)``.
+:class:`InProcessTransport` calls ``k`` partitions directly and expands
+through the engine's single expansion backend — a deterministic serial
+fallback (:class:`SerialExpansionBackend`) or fork workers leased from a
+:class:`repro.runtime.WorkerPool`.  The TCP transport of
+:mod:`repro.distributed` sends the same request kinds as frames to node
+agents, each serving one partition.
 
 Because interning, parent assignment, limit checks and predicate
-evaluation all happen in the deterministic replay, the merged result is
-bit-identical to the single-shard engine's on the visited set, edge
-counts, truncation flags, parent links and reconstructed witnesses, for
-every retention mode and worker count.  The only speculative work is
-successor enumeration past a limit, which the replay discards.
-
-Each shard accumulates its discoveries in its own partial
-:class:`~repro.search.engine.SearchResult` (states it owns, parent links
-of those states, edges generated from them); the public entry points
-fold the partials with the associative
-:meth:`~repro.search.engine.SearchResult.merge`, which re-keys parent
-links across shard boundaries and ORs truncation flags — any truncated
-shard makes the merged exploration truncated, which the reachability
-layer maps to ``UNKNOWN`` (never ``FAILS``).
+evaluation are sequenced by the walk, the merged result is bit-identical
+to the single-shard engine's on the visited set, edge counts, truncation
+flags, parent links and reconstructed witnesses, for every retention
+mode, worker count and transport.  The only speculative work is
+successor enumeration past a limit, which the walk discards.  Partials
+fold with the associative :meth:`~repro.search.engine.SearchResult.merge`,
+which re-keys parent links across partitions and ORs truncation flags —
+any truncated partition makes the merged exploration truncated, which
+the reachability layer maps to ``UNKNOWN`` (never ``FAILS``).
 
 Sharding is inherently level-synchronous, so only the ``"bfs"`` frontier
 strategy is supported; requesting ``"dfs"``/``"best-first"`` with more
@@ -61,13 +61,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import weakref
 from collections import deque
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Any, Callable, Iterable
 
 from repro.errors import SearchError
-from repro.obs.metrics import resolve_metrics
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, resolve_metrics
 from repro.obs.trace import get_tracer
 from repro.search.engine import (
     RETAIN_COUNTS,
@@ -77,20 +77,19 @@ from repro.search.engine import (
     SearchResult,
 )
 from repro.search.interning import InternTable
-from repro.search.shm_interning import (
-    EncodedExpansion,
-    SharedInternTable,
-    SharedStateStore,
-    attached_store,
-    set_process_writer_slot,
-    shared_memory_available,
-)
+from repro.search.shm_interning import SharedInternTable, shared_memory_available
 
 __all__ = [
+    "InProcessTransport",
+    "LevelRun",
+    "Partition",
     "ShardFrontiers",
     "ShardedEngine",
     "SerialExpansionBackend",
-    "ProcessExpansionBackend",
+    "collect_partials",
+    "owned_expansion_backend",
+    "run_levels",
+    "search_partitions",
     "shard_of",
     "process_backend_available",
     "usable_cpu_count",
@@ -102,24 +101,25 @@ DEFAULT_BATCH_SIZE = 16
 def shard_of(state: Any, shards: int) -> int:
     """The shard owning ``state``: its structural hash modulo ``shards``.
 
-    Ownership only balances work across shards — the replay makes the
+    Ownership only balances work across shards — the walk makes the
     exploration result independent of the partition, so per-process hash
-    randomisation is harmless.
+    randomisation is harmless (the loop evaluates ownership in one
+    process only).
     """
     return hash(state) % shards
 
 
 def process_backend_available() -> bool:
-    """Whether the multiprocessing backend can run *here*.
+    """Whether fork-based expansion workers can run *here*.
 
-    The process backend inherits the successor closure via the ``fork``
-    start method, so it is available exactly where fork is (POSIX) —
-    and where the current process may have children at all: inside a
-    daemonic pool worker (e.g. a sweep point running on the runtime's
-    scheduler) Python forbids spawning processes, so nested
-    explorations silently use the deterministic serial backend instead.
-    Results are bit-identical either way; only parallelism is affected,
-    and the outer level already provides it in the nested case.
+    Workers inherit the successor closure via the ``fork`` start method,
+    so they are available exactly where fork is (POSIX) — and where the
+    current process may have children at all: inside a daemonic pool
+    worker (e.g. a sweep point running on the runtime's scheduler)
+    Python forbids spawning processes, so nested explorations silently
+    use the deterministic serial backend instead.  Results are
+    bit-identical either way; only parallelism is affected, and the
+    outer level already provides it in the nested case.
     """
     if multiprocessing.current_process().daemon:
         return False
@@ -138,17 +138,18 @@ class ShardFrontiers:
     """Per-shard FIFO frontiers with tail-half work stealing.
 
     One instance holds the frontiers of a single exploration level: the
-    coordinator pushes every ``(state_id, state)`` entry onto its owning
-    shard's queue, and expansion workers drain the queues in batches.
+    transport pushes every frontier entry onto its owning shard's queue,
+    and expansion workers drain the queues in batches.
     :meth:`take_batch` serves a shard from its own queue first; when that
     queue has drained it steals the tail half of the fullest remaining
     queue (the classic work-stealing split: the victim keeps the head it
     is about to process, the thief takes the colder tail).
 
-    ``steals`` counts the steal operations of this level; the engine
-    reads it after the backend drains the frontiers and flushes it into
-    the metrics registry (stealing happens coordinator-side for every
-    backend, so no counter crosses a process boundary).
+    ``steals`` counts the steal operations of this level; the in-process
+    transport reads it after the backend drains the frontiers and
+    flushes it into the metrics registry (stealing happens
+    coordinator-side for every backend, so no counter crosses a process
+    boundary).
     """
 
     __slots__ = ("_queues", "steals")
@@ -233,7 +234,7 @@ class SerialExpansionBackend:
     """Deterministic single-process expansion (the fallback backend).
 
     Runs the exact same shard-queue draining and stealing schedule as the
-    process backend, then enumerates successors inline.
+    pooled backend, then enumerates successors inline.
     """
 
     name = "serial"
@@ -242,187 +243,438 @@ class SerialExpansionBackend:
         self._successors = successors
 
     def expand(self, frontiers: ShardFrontiers, batch_size: int) -> dict:
-        """Expand every queued state; returns ``{state_id: [edges]}``."""
+        """Expand every queued state; returns ``{ref: [edges]}``."""
         successors = self._successors
         expansions: dict = {}
         for batch in _drain_batches(frontiers, batch_size):
-            for state_id, state in batch:
-                expansions[state_id] = list(successors(state))
+            for ref, state in batch:
+                expansions[ref] = list(successors(state))
         return expansions
 
     def close(self) -> None:
         """Nothing to release."""
 
 
-def expand_shared_batch(
-    successors: Callable[[Any], Iterable], batch: list, store_name: str
-) -> EncodedExpansion:
-    """Expand one id-only batch against the shared state store.
-
-    Entries are ``(state_id, shared_id, inline_state)`` — ``shared_id``
-    resolves through the per-process store cache (each configuration is
-    deserialized at most once per process); ``inline_state`` carries the
-    rare state the slab could not hold.  Freshly generated targets are
-    interned into this worker's slot, so the returned
-    :class:`EncodedExpansion` ships edges with *ids* in place of source
-    and target configurations.
-    """
-    store = attached_store(store_name)
-    results = []
-    for state_id, shared_id, inline in batch:
-        if shared_id is not None:
-            state = store.get(shared_id)
-        else:
-            state = inline
-            store.put(state)  # give the return trip an id for it too
-        edges = list(successors(state))
-        for edge in edges:
-            store.put(edge.target)
-        results.append((state_id, edges))
-    return EncodedExpansion(store.dumps(results))
-
-
-_WORKER_SUCCESSORS: Callable[[Any], Iterable] | None = None
-_WORKER_STORE_NAME: str | None = None
-
-
-def _initialise_worker(
+def owned_expansion_backend(
     successors: Callable[[Any], Iterable],
-    store_name: str | None = None,
-    slot_counter=None,
-) -> None:
-    """Pool initializer: remember the successor function in the worker.
+    workers: int,
+    shared_interning: bool | None = None,
+):
+    """An expansion backend its caller owns (and must ``close()``).
 
-    With a shared state store, each worker additionally claims the next
-    writer slot (the counter and its lock are inherited through fork).
+    Fork workers (``workers > 1`` where fork exists) are an auto-keyed
+    lease on a private :class:`repro.runtime.WorkerPool`: closing or
+    dropping the backend stops them and unlinks their shared store.
+    Otherwise the deterministic :class:`SerialExpansionBackend`.
     """
-    global _WORKER_SUCCESSORS, _WORKER_STORE_NAME
-    _WORKER_SUCCESSORS = successors
-    _WORKER_STORE_NAME = store_name
-    if slot_counter is not None:
-        with slot_counter.get_lock():
-            slot_counter.value += 1
-            slot = slot_counter.value
-        set_process_writer_slot(slot)
+    if workers > 1 and process_backend_available():
+        from repro.runtime.pool import WorkerPool
+
+        return WorkerPool(workers=workers).expansion_backend(
+            successors, workers=workers, shared_interning=shared_interning
+        )
+    return SerialExpansionBackend(successors)
 
 
-def _expand_batch(batch: list):
-    """Expand one batch in a worker; returns ``[(state_id, [edges]), ...]``.
+# -- partitions ---------------------------------------------------------------------
 
-    Id-only batches (3-tuple entries) are expanded against the shared
-    store and return an :class:`EncodedExpansion` blob instead.
+
+def _detached(partial: SearchResult) -> SearchResult:
+    """A picklable copy of ``partial`` over a plain intern table.
+
+    A :class:`SharedInternTable` is a view of a local shared-memory
+    segment and cannot cross the wire; re-interning in discovery order
+    preserves every dense local id, so parent links and depths keep
+    their meaning verbatim.
     """
-    assert _WORKER_SUCCESSORS is not None, "worker pool was not initialised"
-    if batch and len(batch[0]) == 3:
-        assert _WORKER_STORE_NAME is not None, "id-only batch without a shared store"
-        return expand_shared_batch(_WORKER_SUCCESSORS, batch, _WORKER_STORE_NAME)
-    return [(state_id, list(_WORKER_SUCCESSORS(state))) for state_id, state in batch]
+    table = InternTable()
+    for state in partial.interning.states():
+        table.intern(state)
+    return replace(partial, interning=table)
 
 
-def _terminate_pool(pool, store=None) -> None:
-    """GC safety net for pools whose owning backend was never closed.
+class Partition:
+    """One hash partition: the intern table and partial result of its states.
 
-    Also unlinks the backend-owned shared state store: the per-process
-    attach registry keeps the owner view alive, so the store's own
-    finalizer can only fire through the backend's.
+    The table is a :class:`SharedInternTable` over the backend's store
+    when it has one, so frontier entries travel as shared ids.
+    :func:`run_levels` reaches a partition only through :meth:`handle`,
+    called directly in process or served as TCP frames by a node agent.
+    ``metrics`` counts node-side work (renewed per exploration, its
+    snapshot returned by collect and summarize); ``detach`` collects the
+    partial over a plain intern table, for shipping to another host.
     """
-    try:
-        pool.terminate()
-    except Exception:  # noqa: BLE001 - finalizers must never raise
-        pass
-    if store is not None:
-        try:
-            store.destroy()
-        except Exception:  # noqa: BLE001 - finalizers must never raise
-            pass
-
-
-class ProcessExpansionBackend:
-    """Batch successor expansion on a fork-based ``multiprocessing`` pool.
-
-    The successor closure is inherited by the workers through fork (no
-    pickling of the system), while the states shipped out and the edges
-    shipped back cross process boundaries pickled.  Expansion results
-    arrive unordered; determinism is restored by the coordinator replay.
-
-    The pool lives for the backend's lifetime — one fork cycle serves
-    every exploration of the owning engine, not one per ``explore()``
-    call.  A backend dropped without :meth:`close` is cleaned up by a GC
-    finalizer.  For *cross-engine* reuse, lease backends from a
-    :class:`repro.runtime.WorkerPool` instead.
-
-    With ``store`` (a :class:`~repro.search.shm_interning.SharedStateStore`
-    owned by this backend), expansion traffic is id-only: the
-    coordinator ships ``(state_id, shared_id)`` entries and workers
-    answer :class:`EncodedExpansion` blobs.  The store is destroyed
-    (segment unlinked) on :meth:`close`.
-    """
-
-    name = "process"
 
     def __init__(
         self,
-        successors: Callable[[Any], Iterable],
-        workers: int,
-        store: SharedStateStore | None = None,
+        backend,
+        *,
+        shards: int = 1,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        metrics=NULL_REGISTRY,
+        detach: bool = False,
     ) -> None:
-        if not process_backend_available():
-            raise SearchError(
-                "the multiprocessing expansion backend requires the 'fork' start method"
-            )
-        context = multiprocessing.get_context("fork")
-        self.shared_store = store
-        slot_counter = context.Value("i", 0) if store is not None else None
-        self._pool = context.Pool(
-            processes=workers,
-            initializer=_initialise_worker,
-            initargs=(successors, store.name if store is not None else None, slot_counter),
+        self._backend = backend
+        self._store = getattr(backend, "shared_store", None)
+        self._shards = shards
+        self._batch_size = batch_size
+        self._detach = detach
+        self._keep_parents = True
+        self.metrics = metrics
+        self.table: InternTable | None = None
+        self.partial: SearchResult | None = None
+
+    def handle(self, kind: str, data: dict) -> dict:
+        """Serve one request of the level loop; returns the reply payload."""
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
+            raise SearchError(f"unknown partition request kind {kind!r}")
+        return handler(self, data)
+
+    def reset(self, data: dict) -> dict:
+        """Start a fresh exploration: a new intern table and an empty partial."""
+        self.table = SharedInternTable(self._store) if self._store is not None else InternTable()
+        self._keep_parents = data["keep_parents"]
+        if self.metrics.enabled:
+            self.metrics = MetricsRegistry()
+        self.partial = SearchResult(
+            initial=data["initial"], retention=data["retention"], interning=self.table
         )
-        self._finalizer = weakref.finalize(self, _terminate_pool, self._pool, store)
+        return {}
 
-    def worker_pids(self) -> tuple[int, ...]:
-        """The pids of the pool's worker processes (sorted).
+    def init_root(self, data: dict) -> dict:
+        """Intern the root (this partition owns it) at depth 0."""
+        local_id, _, _ = self.table.intern(data["state"])
+        self.partial.depths[local_id] = 0
+        return {"local_id": local_id}
 
-        Successive explorations through the same backend reuse these
-        exact workers — the regression surface for the per-call
-        pool-rebuild bug.
+    def entry(self, ref: Any, local_id: int | None, state: Any = None) -> tuple[Any, tuple]:
+        """``(state, batch entry)`` for an owned ``local_id`` or a stolen ``state``.
+
+        The entry is ``(ref, state)``, or ``(ref, shared_id, inline)``
+        over a shared store (``inline`` only for a state without an id).
         """
-        return tuple(sorted(worker.pid for worker in self._pool._pool))
+        if local_id is not None:
+            state = self.table.state_of(local_id)
+        if self._store is None:
+            return state, (ref, state)
+        shared_id = None if local_id is None else self.table.shared_id_of(local_id)
+        return state, (ref, shared_id, state if shared_id is None else None)
 
-    def expand(self, frontiers: ShardFrontiers, batch_size: int) -> dict:
-        """Expand every queued state across the pool; ``{state_id: [edges]}``."""
-        batches = _drain_batches(frontiers, batch_size)
-        expansions: dict = {}
-        for chunk in self._pool.imap_unordered(_expand_batch, batches):
-            if isinstance(chunk, EncodedExpansion):
-                chunk = self.shared_store.loads(chunk.payload)
-            expansions.update(chunk)
+    def expand(self, data: dict) -> dict:
+        """Expand ``(ref, local_id, state)`` entries over local stealing queues."""
+        frontiers = ShardFrontiers(self._shards)
+        for ref, local_id, state in data["entries"]:
+            state, entry = self.entry(ref, local_id, state)
+            frontiers.push(shard_of(state, self._shards), entry)
+        started = perf_counter()
+        expansions = self._backend.expand(frontiers, self._batch_size)
+        if self.metrics.enabled:
+            self.metrics.histogram("node_expand_seconds").observe(perf_counter() - started)
+            self.metrics.counter("node_edges_total").inc(
+                sum(len(edges) for edges in expansions.values())
+            )
+        return {"results": list(expansions.items())}
+
+    def probe(self, data: dict) -> dict:
+        """Positions of ``targets`` that would intern a new state (commits nothing).
+
+        Dedup is prefix-stable, so the later commit of a prefix of these
+        candidates agrees with the probe on every position it keeps.
+        """
+        seen: set = set()
+        news: list[int] = []
+        for position, state in data["targets"]:
+            if state not in self.table and state not in seen:
+                seen.add(state)
+                news.append(position)
+        return {"news": news}
+
+    def commit(self, data: dict) -> dict:
+        """Apply one level's share; reply the ``(position, local_id)`` of new states.
+
+        A parent link whose source another partition owns is marked
+        ``-1``; :meth:`SearchResult.merge` repairs it.
+        """
+        partial = self.partial
+        table = self.table
+        partial.edge_count += data["edge_count"]
+        if data["edges"]:
+            partial.edges.extend(data["edges"])
+        partial.truncated = partial.truncated or data["truncated"]
+        news: list[tuple[int, int]] = []
+        for position, edge in data["candidates"]:
+            local_id, _, is_new = table.intern(edge.target)
+            if not is_new:
+                continue
+            partial.depths[local_id] = data["depth"]
+            if self._keep_parents:
+                source_local = table.id_of(edge.source)
+                partial.parents[local_id] = (-1 if source_local is None else source_local, edge)
+            news.append((position, local_id))
+        if news and self.metrics.enabled:
+            self.metrics.counter("node_states_total").inc(len(news))
+        return {"news": news}
+
+    def collect(self, data: dict) -> dict:
+        """The partial result and metrics snapshot, once the loop ended.
+
+        ``depth_reached`` is the deepest owned state within the loop's
+        last level: states committed by a stopping level were never
+        visited.
+        """
+        partial = self.partial
+        partial.depth_reached = max(
+            (depth for depth in partial.depths.values() if depth <= data["depth_reached"]),
+            default=0,
+        )
+        result = _detached(partial) if self._detach else partial
+        return {"result": result, "metrics": self.metrics.snapshot()}
+
+    def summarize(self, data: dict) -> dict:
+        """The partition's state count and metrics snapshot; no state leaves it."""
+        return {"states": len(self.table), "metrics": self.metrics.snapshot()}
+
+    _HANDLERS = {
+        "reset": reset,
+        "init-root": init_root,
+        "expand": expand,
+        "probe": probe,
+        "commit": commit,
+        "collect": collect,
+        "summarize": summarize,
+    }
+
+
+class InProcessTransport:
+    """The level loop's transport over ``count`` partitions in this process.
+
+    :meth:`broadcast` calls the partitions directly; :meth:`expand`
+    queues the level on one :class:`ShardFrontiers` queue per partition
+    and drains it, with stealing, through the engine's single backend.
+    """
+
+    def __init__(self, backend, count: int, batch_size: int, record=None) -> None:
+        self.count = count
+        self.partitions = [Partition(backend) for _ in range(count)]
+        self._backend = backend
+        self._batch_size = batch_size
+        self._record = record
+
+    def expand(self, level: list[tuple[int, int]]) -> dict:
+        """Expand every ``(partition, local_id)`` ref; returns ``{ref: [edges]}``."""
+        frontiers = ShardFrontiers(self.count)
+        for ref in level:
+            frontiers.push(ref[0], self.partitions[ref[0]].entry(ref, ref[1])[1])
+        expansions = self._backend.expand(frontiers, self._batch_size)
+        if self._record is not None and frontiers.steals:
+            self._record.counter("sharded_steals_total").inc(frontiers.steals)
         return expansions
 
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent); unlinks an owned store."""
-        if self._finalizer.detach() is not None:
-            self._pool.close()
-            self._pool.join()
-            if self.shared_store is not None:
-                self.shared_store.destroy()
+    def broadcast(self, kind: str, payload: Callable[[int], dict | None]) -> dict[int, dict]:
+        """``{index: reply}`` of every partition whose payload is not ``None``."""
+        replies = {}
+        for index, partition in enumerate(self.partitions):
+            data = payload(index)
+            if data is not None:
+                replies[index] = partition.handle(kind, data)
+        return replies
 
 
-def _flush_level(record, new_states: int, level_edges: int, replay_seconds: float) -> None:
-    """Flush one replayed level's counters into the registry.
+# -- the level loop ------------------------------------------------------------------
 
-    Called at each level barrier (and before an early predicate/limit
-    return), so the folded ``engine_states_total``/``engine_edges_total``
-    counters reconcile exactly with the merged result — the E20 bench
-    gates that identity.  A "duplicate" is an edge whose target was
-    already interned.
+
+@dataclass
+class LevelRun:
+    """Counters and outcome of one :func:`run_levels` call.
+
+    ``hit`` is ``None``, ``(root, None)`` when the initial state
+    satisfied the predicate, or ``(source_state, edge)`` for the first
+    satisfying edge in single-shard BFS order.
     """
-    record.counter("engine_states_total", kind="interned").inc(new_states)
-    duplicates = level_edges - new_states
-    if duplicates > 0:
-        record.counter("engine_states_total", kind="duplicate").inc(duplicates)
-    record.counter("engine_edges_total").inc(level_edges)
-    record.histogram("sharded_level_seconds", phase="replay").observe(replay_seconds)
+
+    states: int = 1
+    edges: int = 0
+    depth_reached: int = 0
+    truncated: bool = False
+    hit: tuple | None = None
+
+    def witness(self, merged: SearchResult) -> list | None:
+        """The path to the hit in ``merged`` (``[]`` for a root hit, ``None`` without one)."""
+        if self.hit is None:
+            return None
+        source, edge = self.hit
+        if edge is None:
+            return []
+        return merged.path_to(source) + [edge]
+
+
+def run_levels(
+    transport,
+    initial: Any,
+    *,
+    limits: SearchLimits,
+    retention: str,
+    predicate: Callable[[Any], bool] | None = None,
+    on_state: Callable[[Any, int], None] | None = None,
+    record=None,
+) -> LevelRun:
+    """Level-synchronous BFS over ``transport``'s partitions (see module docs).
+
+    ``record`` is the enabled metrics registry or ``None``; counters are
+    flushed once per level, never per edge.  The explored states stay on
+    the partitions (see :func:`collect_partials`).
+    """
+    # Predicate search always keeps parent links (witnesses), as Engine.search does.
+    keep_parents = retention != RETAIN_COUNTS or predicate is not None
+    transport.broadcast(
+        "reset",
+        lambda index: {"retention": retention, "keep_parents": keep_parents, "initial": initial},
+    )
+    owner = shard_of(initial, transport.count)
+    root = transport.broadcast("init-root", lambda index: {"state": initial} if index == owner else None)
+    run = LevelRun()
+    if record is not None:
+        record.counter("engine_states_total", kind="interned").inc()
+    if on_state is not None:
+        on_state(initial, 0)
+    if predicate is not None and predicate(initial):
+        run.hit = (initial, None)
+        return run
+    level = [(owner, root[owner]["local_id"])]
+    depth = 0
+    while level:
+        run.depth_reached = depth
+        if depth >= limits.max_depth:
+            break
+        if record is not None:
+            record.counter("sharded_levels_total").inc()
+            record.gauge("engine_frontier_states").high_water(len(level))
+            started = perf_counter()
+        with get_tracer().span("expand", depth=depth, frontier=len(level)):
+            expansions = transport.expand(level)
+        if record is not None:
+            expanded = perf_counter()
+            record.histogram("sharded_level_seconds", phase="expand").observe(expanded - started)
+        level = _next_level(
+            transport, level, expansions, depth, run, limits, predicate, on_state,
+            retention == RETAIN_FULL, record,
+        )
+        if record is not None:
+            record.histogram("sharded_level_seconds", phase="replay").observe(
+                perf_counter() - expanded
+            )
+        depth += 1
+    return run
+
+
+def _next_level(
+    transport, level, expansions, depth, run, limits, predicate, on_state, keep_edges, record
+) -> list[tuple[int, int]]:
+    """Walk, probe and commit one expanded level; ``[]`` when the run stops here."""
+    count = transport.count
+    potential = sum(len(expansions.get(ref, ())) for ref in level)
+    edge_cut = (
+        limits.max_steps - run.edges - 1 if run.edges + potential >= limits.max_steps else None
+    )
+    # The walk ends at the earliest stop already known: single-shard BFS
+    # never counts, keeps or interns an edge past a hit or the edge cut.
+    walk: list[tuple[int, Any, int]] = []  # (source partition, edge, owner partition)
+    hit = None
+    for ref in level:
+        for edge in expansions.get(ref, ()):
+            walk.append((ref[0], edge, shard_of(edge.target, count)))
+            if predicate is not None and predicate(edge.target):
+                hit = len(walk) - 1
+                break
+            if len(walk) - 1 == edge_cut:
+                break
+        else:
+            continue
+        break
+
+    cut = len(walk) - 1
+    stop = None if hit is None else "hit"
+    if run.states + len(walk) >= limits.max_configurations:
+        targets: list[list] = [[] for _ in range(count)]
+        for position, (_, edge, owner) in enumerate(walk):
+            if position != hit:
+                targets[owner].append((position, edge.target))
+        news_at: set[int] = set()
+        for reply in transport.broadcast("probe", lambda index: {"targets": targets[index]}).values():
+            news_at.update(reply["news"])
+        states = run.states
+        for position in range(len(walk)):
+            if position == hit:
+                break
+            states += position in news_at
+            if states >= limits.max_configurations or run.edges + position + 1 >= limits.max_steps:
+                cut, stop = position, "truncated"
+                break
+    elif stop is None and walk and run.edges + len(walk) >= limits.max_steps:
+        stop = "truncated"
+
+    shares = [
+        {"depth": depth + 1, "candidates": [], "edge_count": 0, "truncated": False,
+         "edges": [] if keep_edges else None}
+        for _ in range(count)
+    ]
+    for position in range(cut + 1):
+        source, edge, owner = walk[position]
+        shares[source]["edge_count"] += 1
+        if keep_edges:
+            shares[source]["edges"].append(edge)
+        if position != hit:
+            shares[owner]["candidates"].append((position, edge))
+    if stop == "truncated":
+        shares[walk[cut][0]]["truncated"] = True
+    replies = transport.broadcast("commit", shares.__getitem__)
+    news = sorted(
+        (position, (index, local_id))
+        for index, reply in replies.items()
+        for position, local_id in reply["news"]
+    )
+    run.edges += cut + 1
+    run.states += len(news)
+    if record is not None:
+        record.counter("engine_states_total", kind="interned").inc(len(news))
+        if cut + 1 > len(news):
+            record.counter("engine_states_total", kind="duplicate").inc(cut + 1 - len(news))
+        record.counter("engine_edges_total").inc(cut + 1)
+    if on_state is not None:
+        for position, _ in news:
+            on_state(walk[position][1].target, depth + 1)
+    if stop == "hit":
+        edge = walk[hit][1]
+        run.hit = (edge.source, edge)
+    run.truncated = stop == "truncated"
+    return [] if stop else [ref for _, ref in news]
+
+
+def collect_partials(transport, run: LevelRun) -> list[SearchResult]:
+    """Every partition's partial result after ``run``, in partition order."""
+    replies = transport.broadcast("collect", lambda index: {"depth_reached": run.depth_reached})
+    return [replies[index]["result"] for index in sorted(replies)]
+
+
+def search_partitions(
+    transport,
+    initial: Any,
+    predicate: Callable[[Any], bool] | None = None,
+    *,
+    limits: SearchLimits,
+    retention: str,
+    on_state: Callable[[Any, int], None] | None = None,
+    record=None,
+) -> tuple[list | None, SearchResult]:
+    """:func:`run_levels`, then the merged partials: ``(witness, merged)``."""
+    run = run_levels(
+        transport, initial, limits=limits, retention=retention,
+        predicate=predicate, on_state=on_state, record=record,
+    )
+    merged = SearchResult.merge_all(collect_partials(transport, run))
+    merged.initial = merged.interning.canonical(initial)
+    return run.witness(merged), merged
 
 
 # -- the sharded engine ------------------------------------------------------------
@@ -450,8 +702,9 @@ class ShardedEngine:
         pool: a :class:`repro.runtime.WorkerPool` to borrow warm
             expansion workers from.  Leased workers survive the engine
             (they stay warm in the pool); without a pool the engine owns
-            its backend, created once on first use and reused by every
-            later exploration until :meth:`close`.
+            its backend (:func:`owned_expansion_backend`), created once
+            on first use and reused by every later exploration until
+            :meth:`close`.
         pool_key: worker-pool context key identifying the successor
             function's semantics (defaults to the callable's identity).
             Engines sharing a key share the same warm workers.
@@ -465,13 +718,13 @@ class ShardedEngine:
             impossible), ``False`` forces classic pickled traffic.
             Results are bit-identical either way.
         nodes: with ``nodes > 1`` the exploration runs **two-level
-            distributed** (:mod:`repro.distributed`): each of ``nodes``
-            node agents owns the intern table and partial result of its
-            hash-partition, ``shards``/``workers``/``shared_interning``
-            become each node's *local* configuration, and the merged
-            result stays bit-identical to the single-shard engine's.  A
-            ``pool=`` is ignored in this mode (node agents own their
-            expansion workers).
+            distributed** (:mod:`repro.distributed`): the same level
+            loop runs over ``nodes`` TCP node agents, each owning one
+            partition; ``shards``/``workers``/``shared_interning``
+            become each node's *local* expansion configuration, and the
+            merged result stays bit-identical to the single-shard
+            engine's.  A ``pool=`` is ignored in this mode (node agents
+            own their expansion workers).
         transport: how node agents are reached when ``nodes > 1`` —
             ``None``/``"tcp"`` forks a localhost TCP cluster owned by
             the engine; a :class:`repro.distributed.Coordinator` with
@@ -491,7 +744,7 @@ class ShardedEngine:
 
     The expansion backend lives for the **engine's lifetime**: repeated
     :meth:`explore`/:meth:`search` calls reuse the same worker
-    processes instead of forking a fresh pool per call.  The engine is
+    processes instead of forking fresh ones per call.  The engine is
     a context manager; ``close()`` releases a pool lease or shuts an
     owned backend down (a GC finalizer backstops forgotten engines).
     """
@@ -595,16 +848,22 @@ class ShardedEngine:
 
     @property
     def backend_name(self) -> str:
-        """The expansion backend :meth:`explore` will use."""
+        """The expansion backend :meth:`explore` will use.
+
+        ``"process"`` for engine-owned fork workers, ``"serial"`` for
+        the in-process fallback, ``"pooled"``/``"pooled-serial"`` for a
+        :class:`repro.runtime.WorkerPool` lease and ``"distributed"``
+        for node agents.
+        """
         if self._distributed_active():
             return "distributed"
+        if self._pool is None:
+            if self._workers > 1 and process_backend_available():
+                return "process"
+            return SerialExpansionBackend.name
         if self._backend_instance is not None:
             return self._backend_instance.name
-        if self._pool is not None:
-            return "pooled" if self._pool.uses_processes(self._workers) else "pooled-serial"
-        if self._workers > 1 and process_backend_available():
-            return ProcessExpansionBackend.name
-        return SerialExpansionBackend.name
+        return "pooled" if self._pool.uses_processes(self._workers) else "pooled-serial"
 
     @property
     def shared_interning(self) -> bool:
@@ -636,8 +895,7 @@ class ShardedEngine:
         """The engine's expansion backend, created once and then reused.
 
         Hoisting the backend to engine lifetime is what keeps worker
-        processes warm across successive explorations; previously a
-        fresh pool was forked and torn down inside every ``explore()``.
+        processes warm across successive explorations.
         """
         if self._backend_instance is None:
             if self._pool is not None:
@@ -647,21 +905,10 @@ class ShardedEngine:
                     workers=self._workers,
                     shared_interning=self._shared_interning,
                 )
-            elif self._workers > 1 and process_backend_available():
-                store = None
-                if self._shared_interning is not False:
-                    # Slot 0 is the coordinator, one slot per worker,
-                    # plus headroom: mp.Pool *does* respawn crashed
-                    # workers, and each replacement claims a fresh slot
-                    # from the initializer counter (an out-of-slots
-                    # replacement degrades to inline traffic, which is
-                    # slower, never wrong).
-                    store = SharedStateStore.create(slots=self._workers + 4)
-                self._backend_instance = ProcessExpansionBackend(
-                    self._successors, self._workers, store=store
-                )
             else:
-                self._backend_instance = SerialExpansionBackend(self._successors)
+                self._backend_instance = owned_expansion_backend(
+                    self._successors, self._workers, self._shared_interning
+                )
         return self._backend_instance
 
     def _distributed_active(self) -> bool:
@@ -671,7 +918,7 @@ class ShardedEngine:
         ``fork`` start method to launch agents; where it is unavailable
         (or inside a daemonic sweep worker, which may not have children)
         the engine silently falls back to the single-node path — the
-        replay makes results bit-identical either way, exactly as for
+        walk makes results bit-identical either way, exactly as for
         the serial expansion fallback.  An external coordinator's agents
         already exist, so that path never degrades.
         """
@@ -709,11 +956,11 @@ class ShardedEngine:
     def close(self) -> None:
         """Release the expansion backend (idempotent).
 
-        An owned process pool is shut down; a pool lease is released
-        with its workers left warm; an owned distributed cluster is torn
-        down (a borrowed coordinator stays connected).  The engine may
-        be used again — the next exploration simply acquires a fresh
-        backend or cluster.
+        An owned backend's workers are shut down; a pool lease is
+        released with its workers left warm; an owned distributed cluster
+        is torn down (a borrowed coordinator stays connected).  The
+        engine may be used again — the next exploration simply acquires
+        a fresh backend or cluster.
         """
         backend, self._backend_instance = self._backend_instance, None
         if backend is not None:
@@ -740,20 +987,7 @@ class ShardedEngine:
         ``on_state`` fires in global discovery order, exactly as under
         the single-shard engine.
         """
-        if self._distributed_active():
-            return self._distributed().explore(initial, on_state=on_state)
-        registry = resolve_metrics(self._metrics)
-        started = perf_counter()
-        with get_tracer().span("explore", engine="sharded", shards=self._shards):
-            partials, _ = self._run(initial, on_state=on_state)
-            merged = self._merged(partials, initial)
-        if registry.enabled:
-            registry.counter("engine_explorations_total", engine="sharded").inc()
-            registry.gauge("engine_depth_reached").high_water(merged.depth_reached)
-            registry.histogram("engine_explore_seconds", engine="sharded").observe(
-                perf_counter() - started
-            )
-        return merged
+        return self._partitioned("explore", initial, None, on_state)[1]
 
     def explore_shards(self, initial: Any) -> list[SearchResult]:
         """The per-shard partial results of an exploration (one per shard).
@@ -772,8 +1006,9 @@ class ShardedEngine:
                 "explore_shards() is single-node only: distributed partials live on "
                 "their node agents (use explore(), or DistributedEngine.explore_summary)"
             )
-        partials, _ = self._run(initial)
-        return partials
+        transport = InProcessTransport(self._backend(), self._shards, self._batch_size)
+        run = run_levels(transport, initial, limits=self._limits, retention=self._retention)
+        return collect_partials(transport, run)
 
     def search(
         self,
@@ -785,189 +1020,38 @@ class ShardedEngine:
 
         Same contract as :meth:`Engine.search`: returns
         ``(witness_path, merged_result)``; the parent map is maintained
-        in every retention mode, and the breadth-first replay makes the
+        in every retention mode, and the breadth-first walk makes the
         witness minimal and identical to the single-shard one.
         ``on_state`` fires in global discovery order for each newly
         interned state, exactly as the single-shard engine fires it.
         """
+        return self._partitioned("search", initial, predicate, on_state)
+
+    def _partitioned(
+        self,
+        span: str,
+        initial: Any,
+        predicate: Callable[[Any], bool] | None,
+        on_state: Callable[[Any, int], None] | None,
+    ) -> tuple[list | None, SearchResult]:
+        """:meth:`explore`/:meth:`search` on the node agents or in process."""
         if self._distributed_active():
             return self._distributed().search(initial, predicate, on_state=on_state)
         registry = resolve_metrics(self._metrics)
+        record = registry if registry.enabled else None
         started = perf_counter()
-        with get_tracer().span("search", engine="sharded", shards=self._shards):
-            partials, hit = self._run(initial, predicate=predicate, on_state=on_state)
-            merged = self._merged(partials, initial)
-        if registry.enabled:
-            registry.counter("engine_explorations_total", engine="sharded").inc()
-            registry.gauge("engine_depth_reached").high_water(merged.depth_reached)
-            registry.histogram("engine_explore_seconds", engine="sharded").observe(
+        with get_tracer().span(span, engine="sharded", shards=self._shards):
+            transport = InProcessTransport(
+                self._backend(), self._shards, self._batch_size, record
+            )
+            path, merged = search_partitions(
+                transport, initial, predicate, limits=self._limits,
+                retention=self._retention, on_state=on_state, record=record,
+            )
+        if record is not None:
+            record.counter("engine_explorations_total", engine="sharded").inc()
+            record.gauge("engine_depth_reached").high_water(merged.depth_reached)
+            record.histogram("engine_explore_seconds", engine="sharded").observe(
                 perf_counter() - started
             )
-        if hit is None:
-            return None, merged
-        source, edge = hit
-        if edge is None:
-            return [], merged  # the initial state satisfied the predicate
-        path = merged.path_to(source)
-        path.append(edge)
         return path, merged
-
-    # -- the coordinator -------------------------------------------------------
-
-    def _merged(self, partials: list[SearchResult], initial: Any) -> SearchResult:
-        merged = SearchResult.merge_all(partials)
-        merged.initial = merged.interning.canonical(initial)
-        return merged
-
-    def _run(
-        self,
-        initial: Any,
-        *,
-        predicate: Callable[[Any], bool] | None = None,
-        on_state: Callable[[Any, int], None] | None = None,
-    ) -> tuple[list[SearchResult], tuple | None]:
-        """Level-synchronous exploration; returns ``(partials, hit)``.
-
-        ``hit`` is ``None`` (no predicate or no match), ``(state, None)``
-        when the initial state matches, or ``(source_state, edge)`` for
-        the first matching edge in single-shard BFS generation order.
-        """
-        shards = self._shards
-        limits = self._limits
-        keep_edges = self._retention == RETAIN_FULL
-        # Predicate search always keeps parent links (witnesses), as Engine.search does.
-        keep_parents = self._retention != RETAIN_COUNTS or predicate is not None
-        # The backend is engine-lifetime state: acquired once, reused by
-        # every exploration, released by close() — not per call.  It also
-        # fixes whether this exploration moves ids or pickled states.
-        backend = self._backend()
-        store = getattr(backend, "shared_store", None)
-        if store is not None:
-            # Global dedup; local ids are single-shard discovery order
-            # (bit-identical to InternTable), mirrored into the store so
-            # frontier batches and returned edges carry shared ids only.
-            table = SharedInternTable(store)
-            partials = [
-                SearchResult(
-                    initial=initial,
-                    retention=self._retention,
-                    interning=SharedInternTable(store),
-                )
-                for _ in range(shards)
-            ]
-        else:
-            table = InternTable()  # global dedup; ids are single-shard discovery order
-            partials = [
-                SearchResult(initial=initial, retention=self._retention) for _ in range(shards)
-            ]
-        # Metrics are boundary-only: `record` is None on the disabled
-        # path, so the per-edge replay below never touches the registry
-        # and the per-level flushes cost a handful of dict probes.
-        registry = resolve_metrics(self._metrics)
-        record = registry if registry.enabled else None
-        tracer = get_tracer()
-        owner: dict[int, int] = {}
-        root_id, root, _ = table.intern(initial)
-        root_shard = shard_of(root, shards)
-        owner[root_id] = root_shard
-        root_local, _, _ = partials[root_shard].interning.intern(root)
-        partials[root_shard].depths[root_local] = 0
-        if record is not None:
-            record.counter("engine_states_total", kind="interned").inc()
-        if on_state is not None:
-            on_state(root, 0)
-        if predicate is not None and predicate(root):
-            return partials, (root, None)
-        total_edges = 0
-        level = [root_id]
-        depth = 0
-        while level:
-            for state_id in level:
-                part = partials[owner[state_id]]
-                if depth > part.depth_reached:
-                    part.depth_reached = depth
-            if depth >= limits.max_depth:
-                break
-            if record is not None:
-                record.counter("sharded_levels_total").inc()
-                record.gauge("engine_frontier_states").high_water(len(level))
-            frontiers = ShardFrontiers(shards)
-            if store is not None:
-                # Id-only frontier entries; a state the slab could not
-                # hold (shared id None) travels inline, which is rare
-                # and always correct.
-                for state_id in level:
-                    shared_id = table.shared_id_of(state_id)
-                    inline = table.state_of(state_id) if shared_id is None else None
-                    frontiers.push(owner[state_id], (state_id, shared_id, inline))
-            else:
-                for state_id in level:
-                    frontiers.push(owner[state_id], (state_id, table.state_of(state_id)))
-            expand_started = perf_counter() if record is not None else 0.0
-            with tracer.span("expand", depth=depth, frontier=len(level)):
-                expansions = backend.expand(frontiers, self._batch_size)
-            replay_started = perf_counter() if record is not None else 0.0
-            if record is not None:
-                record.histogram("sharded_level_seconds", phase="expand").observe(
-                    replay_started - expand_started
-                )
-                if frontiers.steals:
-                    record.counter("sharded_steals_total").inc(frontiers.steals)
-            edges_before = total_edges
-            next_level: list[int] = []
-            # Replay in discovery-id order == the order single-shard BFS
-            # pops its FIFO frontier, so interning, parent links, limit
-            # checks and predicate hits all sequence identically.
-            for state_id in level:
-                part = partials[owner[state_id]]
-                source = table.state_of(state_id)
-                for edge in expansions.get(state_id, ()):
-                    part.edge_count += 1
-                    total_edges += 1
-                    if keep_edges:
-                        part.edges.append(edge)
-                    if predicate is not None and predicate(edge.target):
-                        if record is not None:
-                            _flush_level(
-                                record,
-                                len(next_level),
-                                total_edges - edges_before,
-                                perf_counter() - replay_started,
-                            )
-                        return partials, (source, edge)
-                    target_id, target, is_new = table.intern(edge.target)
-                    if is_new:
-                        target_shard = shard_of(target, shards)
-                        owner[target_id] = target_shard
-                        target_part = partials[target_shard]
-                        local_id, _, _ = target_part.interning.intern(target)
-                        target_part.depths[local_id] = depth + 1
-                        if keep_parents:
-                            source_local = target_part.interning.id_of(source)
-                            target_part.parents[local_id] = (
-                                source_local if source_local is not None else -1,
-                                edge,
-                            )
-                        if on_state is not None:
-                            on_state(target, depth + 1)
-                        next_level.append(target_id)
-                    if len(table) >= limits.max_configurations or total_edges >= limits.max_steps:
-                        part.truncated = True
-                        if record is not None:
-                            _flush_level(
-                                record,
-                                len(next_level),
-                                total_edges - edges_before,
-                                perf_counter() - replay_started,
-                            )
-                        return partials, None
-            if record is not None:
-                _flush_level(
-                    record,
-                    len(next_level),
-                    total_edges - edges_before,
-                    perf_counter() - replay_started,
-                )
-            level = next_level
-            depth += 1
-        return partials, None

@@ -417,8 +417,7 @@ class SharedStateStore:
 # -- per-process worker attachment ---------------------------------------------
 
 # Expansion workers bind one writer slot per process, assigned by their
-# runner (the warm worker context or the mp.Pool initializer) before the
-# first batch executes.  ``None`` means read-only (states ship inline).
+# warm worker context before the first batch executes.  ``None`` means read-only (states ship inline).
 _PROCESS_WRITER_SLOT: int | None = None
 
 # Store views by segment name.  Fork-inherited entries are detected by

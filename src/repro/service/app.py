@@ -31,23 +31,28 @@ Endpoints (all payloads/replies JSON unless noted):
 
 Admission control bounds concurrent queries: beyond
 ``max_concurrent`` in-flight requests, new ones get HTTP 429 with
-``Retry-After`` instead of queueing.  Failed library preconditions
-(unknown case study, malformed query, non-sentence condition) render as
-HTTP 400.
+``Retry-After`` instead of queueing.  Payload fields are decoded before
+admission: a malformed knob (a non-integer, boolean or negative
+``bound``/``bounds``/``max_*``, an unknown ``strategy``/``retention``, a
+non-finite or non-positive ``timeout``) is an HTTP 400 naming the field.
+Failed library preconditions (unknown case study, malformed query,
+non-sentence condition) render as HTTP 400 too.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.errors import QueryTimeoutError
+from repro.errors import QueryTimeoutError, ServiceError
 from repro.modelcheck.result import ReachabilityResult
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, resolve_metrics
 from repro.service.asgi import App, Request, Response, json_response, sse_event
-from repro.service.sessions import SessionManager
+from repro.service.sessions import SessionManager, int_field
 
 __all__ = ["ServiceConfig", "create_app", "result_payload"]
 
@@ -97,12 +102,43 @@ def result_payload(result: ReachabilityResult) -> dict:
 
 def _bound_of(payload: Mapping) -> int | None:
     bound = payload.get("bound")
-    return None if bound is None else int(bound)
+    return None if bound is None else int_field("bound", bound)
+
+
+def _bounds_of(payload: Mapping) -> tuple[int, ...]:
+    bounds = payload.get("bounds", (0, 1, 2, 3, 4))
+    if not isinstance(bounds, (list, tuple)):
+        raise ServiceError(f"invalid 'bounds': expected a list of bounds, got {bounds!r}")
+    return tuple(int_field("bounds", bound) for bound in bounds)
 
 
 def _timeout_of(payload: Mapping, config: ServiceConfig) -> float | None:
     timeout = payload.get("timeout", config.default_timeout)
-    return None if timeout is None else float(timeout)
+    if timeout is None:
+        return None
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0 < timeout < math.inf:
+        raise ServiceError(
+            f"invalid 'timeout': expected a positive finite number of seconds, got {timeout!r}"
+        )
+    return float(timeout)
+
+
+@contextmanager
+def _admitted(manager: SessionManager, registry):
+    """The span of one admitted request: counts its outcome, then frees its slot.
+
+    The single place ``service_requests_total{outcome=ok|error}`` grows,
+    so the counters reconcile with what clients saw.
+    """
+    try:
+        yield
+    except Exception:
+        registry.counter("service_requests_total", outcome="error").inc()
+        raise
+    else:
+        registry.counter("service_requests_total", outcome="ok").inc()
+    finally:
+        manager.release()
 
 
 def _deadline_on_state(
@@ -244,46 +280,37 @@ def create_app(config: ServiceConfig | None = None) -> App:
 
             def work(emit: Callable[[str, dict], None]) -> None:
                 try:
-                    emit(
-                        "ready",
-                        {
-                            "case_study": payload["case_study"],
-                            "bound": bound,
-                            "max_depth": options.max_depth,
-                        },
-                    )
-                    result = m.session.run_reachability(
-                        system,
-                        condition,
-                        bound=bound,
-                        options=options,
-                        on_state=_deadline_on_state(
-                            timeout, config.progress_every, emit, config.clock
-                        ),
-                    )
-                    registry.counter("service_requests_total", outcome="ok").inc()
+                    with _admitted(m, registry):
+                        emit(
+                            "ready",
+                            {
+                                "case_study": payload["case_study"],
+                                "bound": bound,
+                                "max_depth": options.max_depth,
+                            },
+                        )
+                        result = m.session.run_reachability(
+                            system,
+                            condition,
+                            bound=bound,
+                            options=options,
+                            on_state=_deadline_on_state(
+                                timeout, config.progress_every, emit, config.clock
+                            ),
+                        )
                     emit("final", result_payload(result))
                 except Exception as error:  # noqa: BLE001 - report through the stream
-                    registry.counter("service_requests_total", outcome="error").inc()
                     emit("error", {"error": str(error), "kind": type(error).__name__})
-                finally:
-                    m.release()
 
             return _stream_response(work)
         loop = asyncio.get_running_loop()
-        try:
+        with _admitted(m, registry):
             result = await loop.run_in_executor(
                 None,
                 lambda: m.session.run_reachability_isolated(
                     system, condition, bound=bound, options=options, timeout=timeout
                 ),
             )
-            registry.counter("service_requests_total", outcome="ok").inc()
-        except Exception:
-            registry.counter("service_requests_total", outcome="error").inc()
-            raise
-        finally:
-            m.release()
         return json_response(result_payload(result))
 
     @app.route("POST", "/v1/convergence")
@@ -293,7 +320,7 @@ def create_app(config: ServiceConfig | None = None) -> App:
         system = m.system(str(payload.get("case_study", "")))
         condition = m.condition(payload)
         options = m.query_options(payload)
-        bounds = tuple(int(bound) for bound in payload.get("bounds", (0, 1, 2, 3, 4)))
+        bounds = _bounds_of(payload)
         registry = resolve_metrics(config.metrics)
         m.acquire()
 
@@ -332,29 +359,20 @@ def create_app(config: ServiceConfig | None = None) -> App:
 
             def work(emit: Callable[[str, dict], None]) -> None:
                 try:
-                    emit(
-                        "ready",
-                        {"case_study": payload["case_study"], "bounds": list(bounds)},
-                    )
-                    final = scan(emit)
-                    registry.counter("service_requests_total", outcome="ok").inc()
+                    with _admitted(m, registry):
+                        emit(
+                            "ready",
+                            {"case_study": payload["case_study"], "bounds": list(bounds)},
+                        )
+                        final = scan(emit)
                     emit("final", final)
                 except Exception as error:  # noqa: BLE001 - report through the stream
-                    registry.counter("service_requests_total", outcome="error").inc()
                     emit("error", {"error": str(error), "kind": type(error).__name__})
-                finally:
-                    m.release()
 
             return _stream_response(work)
         loop = asyncio.get_running_loop()
-        try:
+        with _admitted(m, registry):
             final = await loop.run_in_executor(None, lambda: scan(None))
-            registry.counter("service_requests_total", outcome="ok").inc()
-        except Exception:
-            registry.counter("service_requests_total", outcome="error").inc()
-            raise
-        finally:
-            m.release()
         return json_response(final)
 
     return app

@@ -33,8 +33,9 @@ from repro.errors import AdmissionError, ServiceError
 from repro.fol.parser import parse_query
 from repro.fol.syntax import Query
 from repro.obs.metrics import resolve_metrics
+from repro.search.engine import RETENTION_MODES
 
-__all__ = ["DEFAULT_CASE_STUDIES", "SessionManager"]
+__all__ = ["DEFAULT_CASE_STUDIES", "SessionManager", "int_field"]
 
 #: The case studies a default service serves, by request name.
 DEFAULT_CASE_STUDIES: dict[str, Callable[[], DMS]] = {
@@ -44,9 +45,25 @@ DEFAULT_CASE_STUDIES: dict[str, Callable[[], DMS]] = {
     "warehouse": warehouse_system,
 }
 
-#: Exploration knobs a request payload may override.
+#: Exploration knobs a request payload may override: integer knobs, and
+#: choice knobs with their servable values (best-first needs a heuristic
+#: callable, which no JSON payload can carry).
 _INT_KNOBS = ("max_depth", "max_configurations", "max_steps")
-_STR_KNOBS = ("strategy", "retention")
+_CHOICE_KNOBS = {"strategy": ("bfs", "dfs"), "retention": RETENTION_MODES}
+
+
+def int_field(field: str, value) -> int:
+    """``value`` of request field ``field`` as a non-negative integer.
+
+    Raises:
+        ServiceError: naming ``field`` for booleans, non-integers
+            (strings, fractions, ``null``) and negative integers, so a
+            malformed knob is a 400 before admission instead of a 500 or
+            a silently truncated value.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ServiceError(f"invalid {field!r}: expected a non-negative integer, got {value!r}")
+    return value
 
 
 class SessionManager:
@@ -134,14 +151,24 @@ class SessionManager:
         return parse_query(str(payload["condition"]))
 
     def query_options(self, payload: Mapping) -> ExplorationOptions:
-        """The session defaults with the payload's knob overrides applied."""
+        """The session defaults with the payload's knob overrides applied.
+
+        Raises:
+            ServiceError: naming the first malformed knob (see
+                :func:`int_field`; choice knobs must be one of their
+                servable values).
+        """
         changes: dict = {}
         for knob in _INT_KNOBS:
             if knob in payload:
-                changes[knob] = int(payload[knob])
-        for knob in _STR_KNOBS:
+                changes[knob] = int_field(knob, payload[knob])
+        for knob, choices in _CHOICE_KNOBS.items():
             if knob in payload:
-                changes[knob] = str(payload[knob])
+                if payload[knob] not in choices:
+                    raise ServiceError(
+                        f"invalid {knob!r}: expected one of {list(choices)}, got {payload[knob]!r}"
+                    )
+                changes[knob] = payload[knob]
         options = self.session.options
         return options.replace(**changes) if changes else options
 

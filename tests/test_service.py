@@ -288,6 +288,42 @@ def test_malformed_json_is_400(client):
     assert reply.status == 400
 
 
+def _warm_pids(client) -> dict:
+    session = client._app.state["manager"].session
+    return {key: session.pool.worker_pids(key) for key in session.warm_context_keys()}
+
+
+@pytest.mark.parametrize(
+    "endpoint,field,value",
+    [
+        ("reachability", "max_depth", "abc"),
+        ("reachability", "max_depth", -1),
+        ("reachability", "max_depth", 2.9),
+        ("reachability", "max_depth", True),
+        ("reachability", "max_configurations", None),
+        ("reachability", "bound", "x"),
+        ("reachability", "strategy", "zzz"),
+        ("reachability", "retention", "sometimes"),
+        ("reachability", "timeout", "nan"),
+        ("reachability", "timeout", -1.0),
+        ("reachability", "timeout", False),
+        ("convergence", "bounds", ["q"]),
+        ("convergence", "bounds", 3),
+    ],
+)
+@pytest.mark.parametrize("stream", [False, True])
+def test_malformed_knob_is_400_before_admission(client, endpoint, field, value, stream):
+    if process_backend_available() and not _warm_pids(client):
+        assert client.post("/v1/reachability", json_body=QUERY).status == 200  # warm a worker
+    before = _warm_pids(client)
+    payload = {**QUERY, field: value, "stream": stream}
+    reply = client.post(f"/v1/{endpoint}", json_body=payload)
+    assert reply.status == 400
+    assert repr(field) in reply.json()["error"]
+    assert _warm_pids(client) == before
+    assert client.get("/healthz").json()["active_requests"] == 0
+
+
 # -- convergence ---------------------------------------------------------------
 
 
