@@ -21,7 +21,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.dms.graph import ExplorationLimits
 from repro.recency.explorer import RecencyExplorationLimits
 from repro.search import RETAIN_PARENTS
 
@@ -79,16 +78,8 @@ class ExplorationOptions:
         """A copy with ``changes`` applied (the dataclass is frozen)."""
         return dataclasses.replace(self, **changes)
 
-    def graph_limits(self) -> ExplorationLimits:
-        """These limits as unbounded-semantics exploration limits."""
-        return ExplorationLimits(
-            max_depth=self.max_depth,
-            max_configurations=self.max_configurations,
-            max_steps=self.max_steps,
-        )
-
     def recency_limits(self) -> RecencyExplorationLimits:
-        """These limits as b-bounded-semantics exploration limits."""
+        """These limits as exploration limits (any bound, ``None`` included)."""
         return RecencyExplorationLimits(
             max_depth=self.max_depth,
             max_configurations=self.max_configurations,
@@ -97,13 +88,12 @@ class ExplorationOptions:
 
     @classmethod
     def from_limits(
-        cls, limits: ExplorationLimits | RecencyExplorationLimits | None, **knobs
+        cls, limits: RecencyExplorationLimits | None, **knobs
     ) -> "ExplorationOptions":
         """Build options from a legacy limits object plus keyword knobs.
 
-        This is the bridge the ``modelcheck.reachability`` shims use:
-        both limits classes carry the same three fields, so the
-        conversion is lossless.
+        This is the bridge the ``modelcheck.reachability`` shims use: the
+        limits carry the same three fields, so the conversion is lossless.
         """
         if limits is None:
             return cls(**knobs)

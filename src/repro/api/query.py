@@ -1,13 +1,14 @@
 """The one reachability implementation behind every entry point.
 
 :func:`run_reachability` unifies the four legacy
-:mod:`repro.modelcheck.reachability` functions: ``bound=None`` explores
-the unbounded (depth-bounded) configuration graph, an integer bound
-explores the canonical b-bounded graph, and a proposition name or a
-boolean FOL(R) query selects the condition — four combinations, one
-code path.  The legacy functions survive as thin delegating shims, so
-verdicts, witnesses, truncation semantics and content-store keys are
-defined here and only here.
+:mod:`repro.modelcheck.reachability` functions: an integer bound
+explores the canonical b-bounded graph and ``bound=None`` the unbounded
+(depth-bounded) configuration graph, through the same explorer; a
+proposition name or a boolean FOL(R) query selects the condition.  The
+legacy functions survive as thin delegating shims, so verdicts,
+witnesses, truncation semantics and content-store keys are defined here
+and only here.  The bound changes only the store's graph name and, for
+``None``, projects the witness onto plain configurations.
 
 The truncation contract is unchanged: an exploration cut short by any
 limit reports an unreached condition
@@ -32,8 +33,6 @@ from typing import Callable
 
 from repro.api.options import ExplorationOptions
 from repro.database.instance import DatabaseInstance
-from repro.dms.graph import ConfigurationGraphExplorer
-from repro.dms.semantics import enumerate_successors
 from repro.dms.system import DMS
 from repro.errors import ModelCheckingError
 from repro.fol.evaluator import evaluate_sentence
@@ -112,58 +111,24 @@ def run_reachability(
     """
     options = options or ExplorationOptions()
     predicate = instance_predicate(condition, system)
-    if bound is None:
-        effective = options.graph_limits()
-        graph = "dms"
-        capture_base = lambda configuration: enumerate_successors(system, configuration)  # noqa: E731
-        enumerate_subset = lambda configuration, actions: enumerate_successors(  # noqa: E731
-            system, configuration, actions
-        )
-
-        def make_explorer(successors):
-            return ConfigurationGraphExplorer(
-                system,
-                effective,
-                strategy=options.strategy,
-                heuristic=options.heuristic,
-                retention=options.retention,
-                shards=options.shards,
-                workers=options.workers,
-                pool=pool,
-                shared_interning=options.shared_interning,
-                nodes=options.nodes,
-                transport=options.transport,
-                successors=successors,
-            )
-    else:
-        effective = options.recency_limits()
-        graph = f"recency:{bound}"
-        capture_base = lambda configuration: enumerate_b_bounded_successors(  # noqa: E731
-            system, configuration, bound
-        )
-        enumerate_subset = lambda configuration, actions: enumerate_b_bounded_successors(  # noqa: E731
-            system, configuration, bound, actions
-        )
-
-        def make_explorer(successors):
-            return RecencyExplorer(
-                system,
-                bound,
-                effective,
-                strategy=options.strategy,
-                heuristic=options.heuristic,
-                retention=options.retention,
-                shards=options.shards,
-                workers=options.workers,
-                pool=pool,
-                shared_interning=options.shared_interning,
-                nodes=options.nodes,
-                transport=options.transport,
-                successors=successors,
-            )
+    effective = options.recency_limits()
 
     def compute(successors) -> ReachabilityResult:
-        explorer = make_explorer(successors)
+        explorer = RecencyExplorer(
+            system,
+            bound,
+            effective,
+            strategy=options.strategy,
+            heuristic=options.heuristic,
+            retention=options.retention,
+            shards=options.shards,
+            workers=options.workers,
+            pool=pool,
+            shared_interning=options.shared_interning,
+            nodes=options.nodes,
+            transport=options.transport,
+            successors=successors,
+        )
         witness, stats = explorer.find_configuration(
             lambda configuration: predicate(configuration.instance), on_state
         )
@@ -175,18 +140,23 @@ def run_reachability(
             verdict = Verdict.FAILS
         return ReachabilityResult(
             reachable=verdict,
-            witness=witness,
+            witness=witness.plain() if witness is not None and bound is None else witness,
             configurations_explored=stats.configuration_count,
             edges_explored=stats.edge_count,
             depth=effective.max_depth,
             bound=bound,
         )
 
+    def successors(configuration, actions=None):
+        return enumerate_b_bounded_successors(system, configuration, bound, actions)
+
     single_shard = options.single_shard
     result, _ = cached_compute(
         store=store,
         system=system,
-        graph=graph,
+        # The unbounded graph keeps its historical name, so existing
+        # stores keep serving its results.
+        graph="dms" if bound is None else f"recency:{bound}",
         parameters={
             "payload": "reachability",
             "condition": condition_key(condition),
@@ -197,8 +167,8 @@ def run_reachability(
             "retention": options.retention,
         },
         compute=compute,
-        capture_base=capture_base if single_shard else None,
-        enumerate_subset=enumerate_subset if single_shard else None,
+        capture_base=successors if single_shard else None,
+        enumerate_subset=successors if single_shard else None,
         cacheable=options.heuristic is None,
     )
     return result

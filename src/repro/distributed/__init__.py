@@ -37,7 +37,6 @@ the wire format, the failure semantics and a deployment recipe.
 from repro.distributed.agent import NodeAgent, run_agent
 from repro.distributed.context import (
     CallableContext,
-    DMSGraphContext,
     ExplorationContext,
     RecencyContext,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "CallableContext",
     "Channel",
     "Coordinator",
-    "DMSGraphContext",
     "DistributedEngine",
     "DistributedError",
     "DistributedSummary",

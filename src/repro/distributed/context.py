@@ -6,9 +6,10 @@ Agents started *elsewhere* (``python -m repro.harness --agent``) know
 nothing about the system under exploration: the coordinator ships them
 an :class:`ExplorationContext` inside the ``lease`` frame, and the agent
 rebuilds the successor function from it.  A context must therefore be
-picklable and self-contained — the two library semantics get dedicated
-specs that carry the DMS itself, and :class:`CallableContext` covers
-module-level successor functions.
+picklable and self-contained — the library semantics gets a dedicated
+spec that carries the DMS itself (:class:`RecencyContext`, whose
+``bound=None`` is the unbounded graph), and :class:`CallableContext`
+covers module-level successor functions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Any, Callable, Iterable
 
 __all__ = [
     "CallableContext",
-    "DMSGraphContext",
     "ExplorationContext",
     "RecencyContext",
 ]
@@ -49,25 +49,11 @@ class CallableContext(ExplorationContext):
 
 
 @dataclass(frozen=True)
-class DMSGraphContext(ExplorationContext):
-    """Successors of the unbounded configuration graph ``C_S``."""
-
-    system: Any
-
-    def successors(self) -> Callable[[Any], Iterable]:
-        """Bind :func:`~repro.dms.semantics.enumerate_successors` to the system."""
-        from repro.dms.semantics import enumerate_successors
-
-        system = self.system
-        return lambda configuration: enumerate_successors(system, configuration)
-
-
-@dataclass(frozen=True)
 class RecencyContext(ExplorationContext):
-    """Successors of the b-bounded configuration graph ``C_S^b``."""
+    """Successors of the b-bounded graph ``C_S^b`` (``C_S`` for ``bound=None``)."""
 
     system: Any
-    bound: int
+    bound: int | None
 
     def successors(self) -> Callable[[Any], Iterable]:
         """Bind the b-bounded successor enumeration to ``(system, bound)``."""

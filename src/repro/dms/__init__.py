@@ -3,12 +3,6 @@
 from repro.dms.action import Action
 from repro.dms.builder import DMSBuilder
 from repro.dms.configuration import Configuration
-from repro.dms.graph import (
-    ConfigurationGraphExplorer,
-    ExplorationLimits,
-    ExplorationResult,
-    iterate_runs,
-)
 from repro.dms.run import ExtendedRun, Run, Step
 from repro.dms.semantics import (
     apply_action,
@@ -24,11 +18,8 @@ from repro.dms.system import DMS
 __all__ = [
     "Action",
     "Configuration",
-    "ConfigurationGraphExplorer",
     "DMS",
     "DMSBuilder",
-    "ExplorationLimits",
-    "ExplorationResult",
     "ExtendedRun",
     "Run",
     "Step",
@@ -38,6 +29,5 @@ __all__ = [
     "execute_labels",
     "initial_configuration",
     "is_instantiating_substitution",
-    "iterate_runs",
     "successor_configuration",
 ]

@@ -10,6 +10,10 @@ An action is a tuple ``α = ⟨u⃗, v⃗, Q, Del, Add⟩`` where
 * ``Del`` (``α·Del``) is a variable database over ``u⃗``,
 * ``Add`` (``α·Add``) is a variable database over ``u⃗ ⊎ v⃗`` with
   ``v⃗ ⊆ adom(Add)``.
+
+Relaxed actions (``strict=False``, built by the transformations) may
+leave parameters out of the guard, but their guard still has no free
+variable outside ``u⃗``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,15 @@ class Action:
             )
         if self.strict:
             self._check_well_formed()
+            return
+        # Successors bind exactly the parameters, so even a relaxed guard
+        # may not mention any other free variable.
+        stray = self.guard.free_variables() - set(self.parameters)
+        if stray:
+            raise ActionError(
+                f"action {self.name}: guard free variables {sorted(stray)} are not "
+                f"action parameters {list(self.parameters)}"
+            )
 
     def _check_well_formed(self) -> None:
         parameters = set(self.parameters)

@@ -1,4 +1,4 @@
-"""Execution semantics of a DMS (paper, Section 3).
+"""Execution semantics of a DMS (paper, Section 3): the reference.
 
 The module implements:
 
@@ -14,6 +14,11 @@ graph is infinitely branching; successor enumeration therefore always
 uses canonical fresh values (the least unused standard names), which is
 sound for verification by the isomorphism-modulo-permutation argument of
 Appendix E.
+
+:func:`enumerate_successors` is the Section 3 relation, kept as the
+reference the tests compare against.  Explorations run on
+:func:`repro.recency.semantics.enumerate_b_bounded_successors`, whose
+``bound=None`` is this relation with sequence numbers attached.
 """
 
 from __future__ import annotations
@@ -125,9 +130,8 @@ def successor_configuration(
 def enumerate_guard_answers(
     action: Action, instance: DatabaseInstance
 ) -> Iterator[Substitution]:
-    """All guard answers ``σ : u⃗ → adom(I)`` with ``I, σ ⊨ Q``, deterministically ordered."""
-    answers = sorted(iter_answers(action.guard, instance), key=lambda s: sorted(s.items(), key=repr).__repr__())
-    for answer in answers:
+    """All parameter bindings ``σ : u⃗ → adom(I)`` with ``I, σ ⊨ Q``, in a fixed order."""
+    for answer in iter_answers(action.guard, instance, action.parameters):
         yield Substitution({u: answer[u] for u in action.parameters})
 
 

@@ -63,20 +63,31 @@ def evaluate_sentence(query: Query, instance: DatabaseInstance) -> bool:
     return _eval(query, instance, {})
 
 
-def iter_answers(query: Query, instance: DatabaseInstance) -> Iterator[Substitution]:
-    """Iterate over ``ans(Q, I)``: all substitutions of ``Free-Vars(Q)`` into
-    ``adom(I)`` satisfying ``Q``.
+def iter_answers(
+    query: Query,
+    instance: DatabaseInstance,
+    variables: Iterable[str] | None = None,
+    domain: Iterable[Value] | None = None,
+) -> Iterator[Substitution]:
+    """Iterate over the assignments of ``variables`` into ``domain`` satisfying ``Q``.
 
-    For a boolean query the iterator yields the empty substitution exactly
-    when the query holds (mirroring ``ans(Q, I) = {ε}`` in the paper).
+    The defaults, ``Free-Vars(Q)`` over ``adom(I)``, give ``ans(Q, I)``;
+    for a boolean query the iterator then yields the empty substitution
+    exactly when the query holds (mirroring ``ans(Q, I) = {ε}`` in the
+    paper).  Action successors bind the action parameters instead, over
+    ``Recent_b``.  ``variables`` must cover ``Free-Vars(Q)``: evaluating
+    an unbound variable raises :class:`~repro.errors.SubstitutionError`.
+
+    Answers come in lexicographic order, variables by name and values by
+    ``repr``.
     """
-    free = sorted(query.free_variables())
-    if not free:
+    names = sorted(query.free_variables() if variables is None else variables)
+    if not names:
         if _eval(query, instance, {}):
             yield Substitution.empty()
         return
-    domain = sorted(instance.active_domain(), key=repr)
-    yield from _iter_assignments(query, instance, free, domain, {})
+    values = sorted(instance.active_domain() if domain is None else domain, key=repr)
+    yield from _iter_assignments(query, instance, names, values, {})
 
 
 def answers(query: Query, instance: DatabaseInstance) -> frozenset:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.dms.graph import ExplorationLimits
 from repro.dms.system import DMS
 from repro.fol.syntax import Query
 from repro.modelcheck.result import ReachabilityResult
@@ -67,7 +66,7 @@ def query_reachable(
     system: DMS,
     condition: Query | str,
     max_depth: int = 6,
-    limits: ExplorationLimits | None = None,
+    limits: RecencyExplorationLimits | None = None,
     *,
     strategy: str = "bfs",
     heuristic: Callable | None = None,
@@ -106,7 +105,7 @@ def proposition_reachable(
     system: DMS,
     proposition: str,
     max_depth: int = 6,
-    limits: ExplorationLimits | None = None,
+    limits: RecencyExplorationLimits | None = None,
     *,
     strategy: str = "bfs",
     heuristic: Callable | None = None,

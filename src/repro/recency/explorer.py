@@ -2,15 +2,16 @@
 
 The symbolic alphabet is finite, so the canonical b-bounded graph is
 finitely branching; this explorer materialises its fragment up to a depth
-bound.  It is the workhorse behind the recency-bounded model checker and
-the convergence experiments (E9).
+bound.  It is the one explorer: ``bound=None`` explores the unbounded
+graph ``C_S`` (see :mod:`repro.recency.semantics`), so it serves every
+reachability query, the recency-bounded model checker and the
+convergence experiments (E9).
 
-Like :class:`repro.dms.graph.ConfigurationGraphExplorer`, this explorer
-is a thin adapter over the unified engine (:mod:`repro.search`):
-configurations are hash-consed, the frontier strategy and edge-retention
-mode are pluggable, and predicate search reconstructs minimal witnesses
-from the engine's parent map instead of threading run prefixes through
-the frontier.
+The explorer is a thin adapter over the unified engine
+(:mod:`repro.search`): configurations are hash-consed, the frontier
+strategy and edge-retention mode are pluggable, and predicate search
+reconstructs minimal witnesses from the engine's parent map instead of
+threading run prefixes through the frontier.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class RecencyExplorationLimits:
 class RecencyExplorationResult:
     """The explored fragment of the canonical b-bounded configuration graph."""
 
-    bound: int
+    bound: int | None
     initial: RecencyConfiguration
     configurations: set = field(default_factory=set)
     edges: list = field(default_factory=list)
@@ -68,7 +69,7 @@ class RecencyExplorationResult:
     retention: str = RETAIN_FULL
 
     @classmethod
-    def from_search(cls, bound: int, search: SearchResult) -> "RecencyExplorationResult":
+    def from_search(cls, bound: int | None, search: SearchResult) -> "RecencyExplorationResult":
         """Project an engine :class:`~repro.search.SearchResult`."""
         return cls(
             bound=bound,
@@ -97,7 +98,8 @@ class RecencyExplorer:
 
     Args:
         system: the DMS to explore.
-        bound: the recency bound ``b``.
+        bound: the recency bound ``b``; ``None`` explores the unbounded
+            graph ``C_S``.
         limits: depth/state/edge limits.
         strategy: frontier strategy — ``"bfs"`` (default), ``"dfs"`` or
             ``"best-first"`` (requires ``heuristic``).
@@ -143,7 +145,7 @@ class RecencyExplorer:
     def __init__(
         self,
         system: DMS,
-        bound: int,
+        bound: int | None,
         limits: RecencyExplorationLimits | None = None,
         *,
         strategy: str = "bfs",
@@ -185,8 +187,8 @@ class RecencyExplorer:
         return self._system
 
     @property
-    def bound(self) -> int:
-        """The recency bound ``b``."""
+    def bound(self) -> int | None:
+        """The recency bound ``b`` (``None`` for the unbounded graph)."""
         return self._bound
 
     @property
@@ -315,14 +317,15 @@ class RecencyExplorer:
 
 
 def iterate_b_bounded_runs(
-    system: DMS, bound: int, depth: int, max_runs: int | None = None
+    system: DMS, bound: int | None, depth: int, max_runs: int | None = None
 ) -> Iterator[RecencyBoundedRun]:
     """Enumerate canonical b-bounded run prefixes of up to ``depth`` steps.
 
     A prefix is yielded when it reaches ``depth`` steps or ends in a
-    configuration with no b-bounded successor (dead end).  The traversal
-    uses the engine's explicit stack, so depths well beyond the
-    interpreter recursion limit (≥ 2000) are supported.
+    configuration with no b-bounded successor (dead end); ``bound=None``
+    enumerates the prefixes of the unbounded graph.  The traversal uses
+    the engine's explicit stack, so depths well beyond the interpreter
+    recursion limit (≥ 2000) are supported.
     """
     initial = initial_recency_configuration(system)
     for steps in iterate_paths(

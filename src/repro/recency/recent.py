@@ -17,20 +17,24 @@ __all__ = ["recent_elements", "recency_index", "element_at_recency_index"]
 
 
 def recent_elements(
-    instance: DatabaseInstance, seq_no: SequenceNumbering, bound: int
+    instance: DatabaseInstance, seq_no: SequenceNumbering, bound: int | None
 ) -> frozenset:
     """``Recent_b(I, seq_no)``: the ``bound`` most recent elements of ``adom(I)``.
+
+    ``bound=None`` is the unbounded window: the whole active domain.
 
     Raises:
         RecencyError: if ``bound`` is negative or some active element has no
             sequence number.
     """
-    if bound < 0:
+    if bound is not None and bound < 0:
         raise RecencyError(f"recency bound must be non-negative, got {bound}")
     adom = instance.active_domain()
     missing = [value for value in adom if value not in seq_no]
     if missing:
         raise RecencyError(f"active elements without sequence number: {sorted(map(str, missing))}")
+    if bound is None:
+        return adom
     ordered = sorted(adom, key=lambda value: -seq_no[value])
     return frozenset(ordered[:bound])
 

@@ -8,11 +8,15 @@ A b-bounded configuration is a triple ``⟨I, H, seq_no⟩``; an edge
 3. ``seq_no'`` extends ``seq_no`` and gives fresh values numbers larger
    than every number in ``H``,
 4. the fresh values are numbered in their order of appearance in ``v⃗``.
+
+``bound=None`` makes ``Recent`` the whole active domain, so condition 2
+is vacuous; fresh values are the least unused standard names, so
+``seq_no`` is a function of ``H`` and the ``None``-bounded graph is
+``C_S`` itself.  Every unbounded exploration runs on it.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from repro.database.domain import FreshValueAllocator, Value
@@ -20,10 +24,11 @@ from repro.database.instance import DatabaseInstance
 from repro.database.substitution import Substitution
 from repro.dms.action import Action
 from repro.dms.configuration import Configuration
+from repro.dms.run import ExtendedRun, Run, Step
 from repro.dms.semantics import apply_action, is_instantiating_substitution
 from repro.dms.system import DMS
 from repro.errors import ExecutionError, RecencyError
-from repro.fol.evaluator import iter_answers, satisfies
+from repro.fol.evaluator import iter_answers
 from repro.recency.recent import recent_elements
 from repro.recency.sequence import SequenceNumbering
 
@@ -67,11 +72,11 @@ class RecencyConfiguration:
         """The underlying ``⟨I, H⟩`` configuration."""
         return Configuration(instance=self.instance, history=self.history)
 
-    def recent(self, bound: int) -> frozenset:
-        """``Recent_b(I, seq_no)``."""
+    def recent(self, bound: int | None) -> frozenset:
+        """``Recent_b(I, seq_no)`` (the whole active domain for ``None``)."""
         return recent_elements(self.instance, self.seq_no, bound)
 
-    def recent_ordered(self, bound: int) -> tuple:
+    def recent_ordered(self, bound: int | None) -> tuple:
         """The recent elements ordered by recency index (most recent first)."""
         return self.seq_no.order_recent_first(self.recent(bound))
 
@@ -109,9 +114,9 @@ class RecencyBoundedRun:
     __slots__ = ("_bound", "_initial", "_steps")
 
     def __init__(
-        self, bound: int, initial: RecencyConfiguration, steps: Sequence[RecencyStep] = ()
+        self, bound: int | None, initial: RecencyConfiguration, steps: Sequence[RecencyStep] = ()
     ) -> None:
-        if bound < 0:
+        if bound is not None and bound < 0:
             raise RecencyError("recency bound must be non-negative")
         self._bound = bound
         self._initial = initial
@@ -124,8 +129,8 @@ class RecencyBoundedRun:
         self._steps = steps
 
     @property
-    def bound(self) -> int:
-        """The recency bound ``b``."""
+    def bound(self) -> int | None:
+        """The recency bound ``b`` (``None`` for the unbounded graph)."""
         return self._bound
 
     @property
@@ -161,11 +166,19 @@ class RecencyBoundedRun:
         """The generated run ``I0, I1, ..., Ik``."""
         return tuple(conf.instance for conf in self.configurations())
 
-    def to_run(self):
+    def to_run(self) -> Run:
         """The generated run as a :class:`repro.dms.run.Run`."""
-        from repro.dms.run import Run
-
         return Run(self.instances())
+
+    def plain(self) -> ExtendedRun:
+        """The underlying extended run over ``⟨I, H⟩`` (sequence numbers dropped)."""
+        return ExtendedRun(
+            self._initial.plain(),
+            [
+                Step(step.source.plain(), step.action, step.substitution, step.target.plain())
+                for step in self._steps
+            ],
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecencyBoundedRun):
@@ -203,7 +216,7 @@ def is_b_bounded_substitution(
     action: Action,
     configuration: RecencyConfiguration,
     sigma: Mapping[str, Value],
-    bound: int,
+    bound: int | None,
 ) -> bool:
     """Check conditions 1–2 of the b-bounded edge relation for ``σ``."""
     if not is_instantiating_substitution(action, configuration.plain(), sigma):
@@ -216,7 +229,7 @@ def apply_action_b_bounded(
     action: Action,
     configuration: RecencyConfiguration,
     sigma: Mapping[str, Value],
-    bound: int,
+    bound: int | None,
     check: bool = True,
 ) -> RecencyConfiguration:
     """Apply one b-bounded step and return the successor configuration.
@@ -240,83 +253,28 @@ def apply_action_b_bounded(
     )
 
 
-def _recent_parameter_bindings(
-    action: Action, configuration: RecencyConfiguration, recent: frozenset
-) -> list[Substitution] | None:
-    """Satisfying parameter bindings drawn directly from ``Recent_b``.
-
-    Every parameter of a b-bounded step must lie in ``Recent_b``, so for
-    well-formed actions (guard free variables == parameters) it suffices
-    to test the guard on the ``|Recent_b|^|u⃗|`` candidate bindings
-    instead of materialising all guard answers over the full active
-    domain — ``Recent_b`` has at most ``b`` elements while the active
-    domain keeps growing with the run.  Returns ``None`` when the action
-    is not amenable (non-strict action whose guard mentions other
-    variables), in which case the caller falls back to full guard-answer
-    enumeration.
-    """
-    parameters = action.parameters
-    if action.guard.free_variables() != set(parameters):
-        return None
-    instance = configuration.instance
-    if not parameters:
-        return [Substitution.empty()] if satisfies(instance, action.guard, {}) else []
-    candidates = sorted(recent, key=repr)
-    bindings = [
-        Substitution(dict(zip(parameters, combo)))
-        for combo in product(candidates, repeat=len(parameters))
-    ]
-    satisfying = [b for b in bindings if satisfies(instance, action.guard, b)]
-    # Keep the exact deterministic order of the seed enumeration (sorted
-    # guard answers projected onto the parameters).
-    satisfying.sort(key=lambda s: repr(sorted(s.items(), key=repr)))
-    return satisfying
-
-
 def enumerate_b_bounded_successors(
     system: DMS,
     configuration: RecencyConfiguration,
-    bound: int,
+    bound: int | None,
     actions: Sequence[Action] | None = None,
 ) -> Iterator[RecencyStep]:
     """Enumerate the canonical b-bounded successors of a configuration.
 
-    Guard answers are filtered so that every parameter lies in
-    ``Recent_b``; fresh values are the least unused standard names.  For
-    well-formed actions the guard is evaluated only on parameter
-    bindings over ``Recent_b`` (see :func:`_recent_parameter_bindings`);
-    the successor stream is identical to exhaustive guard-answer
-    enumeration, in the same deterministic order.
+    The action parameters are bound over ``Recent_b`` only (condition 2),
+    so the guard is evaluated on at most ``b^|u⃗|`` bindings; fresh values
+    are the least unused standard names.  With ``bound=None`` the steps
+    are those of :func:`repro.dms.semantics.enumerate_successors`, in the
+    same order, with sequence numbers attached.
     """
     chosen = tuple(actions) if actions is not None else system.actions
+    instance = configuration.instance
     recent = configuration.recent(bound)
     for action in chosen:
-        recent_bindings = _recent_parameter_bindings(action, configuration, recent)
-        if recent_bindings is not None:
-            for guard_binding in recent_bindings:
-                allocator = FreshValueAllocator(used=configuration.history)
-                fresh_values = allocator.fresh_many(len(action.fresh))
-                sigma = guard_binding.merge(dict(zip(action.fresh, fresh_values)))
-                target = apply_action_b_bounded(action, configuration, sigma, bound, check=False)
-                if system.constraints and not system.constraints.satisfied_by(target.instance):
-                    continue
-                yield RecencyStep(
-                    source=configuration, action=action, substitution=sigma, target=target
-                )
-            continue
-        answers = sorted(
-            iter_answers(action.guard, configuration.instance),
-            key=lambda s: repr(sorted(s.items(), key=repr)),
-        )
-        for answer in answers:
-            guard_binding = Substitution({u: answer[u] for u in action.parameters})
-            if not all(guard_binding[u] in recent for u in action.parameters):
-                continue
-            allocator = FreshValueAllocator(used=configuration.history)
-            fresh_values = allocator.fresh_many(len(action.fresh))
-            sigma = guard_binding.merge(dict(zip(action.fresh, fresh_values)))
-            if not is_b_bounded_substitution(action, configuration, sigma, bound):
-                continue
+        allocator = FreshValueAllocator(used=configuration.history)
+        fresh = dict(zip(action.fresh, allocator.fresh_many(len(action.fresh))))
+        for answer in iter_answers(action.guard, instance, action.parameters, recent):
+            sigma = Substitution({u: answer[u] for u in action.parameters} | fresh)
             target = apply_action_b_bounded(action, configuration, sigma, bound, check=False)
             if system.constraints and not system.constraints.satisfied_by(target.instance):
                 continue

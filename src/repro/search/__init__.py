@@ -1,9 +1,9 @@
 """Unified high-performance exploration engine.
 
 This package is the single substrate behind every graph exploration in
-the reproduction: reachability in the unbounded configuration graph
-``C_S`` (:mod:`repro.dms.graph`), recency-bounded exploration of
-``C_S^b`` (:mod:`repro.recency.explorer`), run enumeration for the model
+the reproduction: recency-bounded exploration of ``C_S^b`` and, with
+``bound=None``, of the unbounded configuration graph ``C_S`` (both
+through :mod:`repro.recency.explorer`), run enumeration for the model
 checker, and the E9/E10/E12/E13 experiment sweeps.
 
 Quick start::

@@ -1,10 +1,10 @@
 """The unified exploration engine.
 
-Both execution semantics of the reproduction — the unbounded
-configuration graph ``C_S`` (:mod:`repro.dms`) and the recency-bounded
-graph ``C_S^b`` (:mod:`repro.recency`) — explore a transition system
-whose states are immutable configurations and whose edges are step
-objects carrying ``.source`` and ``.target``.  The :class:`Engine` is
+Every exploration of the reproduction — of the recency-bounded graph
+``C_S^b`` and, with ``b = None``, of the unbounded configuration graph
+``C_S`` (:mod:`repro.recency`) — walks a transition system whose states
+are immutable configurations and whose edges are step objects carrying
+``.source`` and ``.target``.  The :class:`Engine` is
 the single implementation of that exploration, parameterised over
 
 * a **successor function** ``successors(state) -> iterable of edges``,

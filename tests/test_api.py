@@ -23,7 +23,6 @@ import pytest
 from repro.api import ExplorationOptions, Session, run_reachability
 from repro.casestudies.booking import booking_agency_system
 from repro.casestudies.warehouse import warehouse_system
-from repro.dms.graph import ExplorationLimits
 from repro.errors import ModelCheckingError, QueryTimeoutError, SessionError
 from repro.fol.parser import parse_query
 from repro.modelcheck.reachability import (
@@ -121,9 +120,9 @@ def test_on_state_streams_discovery_order(booking):
 
 
 def test_options_from_limits_round_trips():
-    graph = ExplorationLimits(max_depth=3, max_configurations=10, max_steps=20)
+    graph = RecencyExplorationLimits(max_depth=3, max_configurations=10, max_steps=20)
     recency = RecencyExplorationLimits(max_depth=5, max_configurations=7, max_steps=9)
-    assert ExplorationOptions.from_limits(graph).graph_limits() == graph
+    assert ExplorationOptions.from_limits(graph).recency_limits() == graph
     assert ExplorationOptions.from_limits(recency).recency_limits() == recency
     assert ExplorationOptions.from_limits(None, max_depth=8).max_depth == 8
 

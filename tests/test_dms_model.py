@@ -91,6 +91,15 @@ def test_non_strict_action_allows_relaxed_shape(schema):
     assert action.parameters == ("u",)
 
 
+def test_non_strict_guard_variables_must_be_parameters(schema):
+    # Successors bind only the parameters, so a stray guard variable
+    # could never be evaluated: reject it when the action is built.
+    with pytest.raises(ActionError, match="not action parameters"):
+        Action.create(
+            "stray", schema, parameters=("u",), guard=parse_query("R(u) & Q(y)"), strict=False
+        )
+
+
 def test_dms_requires_empty_initial_adom(schema):
     bad_initial = DatabaseInstance.of(schema, Fact.of("R", "e1"))
     with pytest.raises(SystemError_):

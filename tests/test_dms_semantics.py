@@ -3,7 +3,9 @@
 import pytest
 
 from repro.casestudies.simple import figure_1_expected_instances
-from repro.dms.graph import ConfigurationGraphExplorer, ExplorationLimits, iterate_runs
+from repro.database.instance import DatabaseInstance, Fact
+from repro.database.schema import Schema
+from repro.dms.action import Action
 from repro.dms.semantics import (
     apply_action,
     enumerate_guard_answers,
@@ -13,7 +15,15 @@ from repro.dms.semantics import (
     is_instantiating_substitution,
     successor_configuration,
 )
+from repro.dms.system import DMS
 from repro.errors import ExecutionError
+from repro.fol.parser import parse_query
+from repro.recency.explorer import (
+    RecencyExplorationLimits,
+    RecencyExplorer,
+    iterate_b_bounded_runs,
+)
+from repro.recency.semantics import enumerate_b_bounded_successors, initial_recency_configuration
 
 
 def test_initial_configuration(example31):
@@ -111,7 +121,7 @@ def test_execute_labels_invalid_sequence_raises(example31):
 
 
 def test_explorer_bounded_exploration(example31):
-    explorer = ConfigurationGraphExplorer(example31, ExplorationLimits(max_depth=2))
+    explorer = RecencyExplorer(example31, None, RecencyExplorationLimits(max_depth=2))
     result = explorer.explore()
     assert result.configuration_count > 1
     assert result.depth_reached <= 2
@@ -119,7 +129,7 @@ def test_explorer_bounded_exploration(example31):
 
 
 def test_explorer_find_configuration(toy_counter_system):
-    explorer = ConfigurationGraphExplorer(toy_counter_system, ExplorationLimits(max_depth=3))
+    explorer = RecencyExplorer(toy_counter_system, None, RecencyExplorationLimits(max_depth=3))
     witness, stats = explorer.find_configuration(
         lambda conf: len(conf.instance.relation_rows("token")) >= 2
     )
@@ -128,11 +138,37 @@ def test_explorer_find_configuration(toy_counter_system):
 
 
 def test_iterate_runs_enumeration(toy_counter_system):
-    runs = list(iterate_runs(toy_counter_system, depth=2))
+    runs = list(iterate_b_bounded_runs(toy_counter_system, None, depth=2))
     assert runs
     assert all(len(run.steps) <= 2 for run in runs)
     labels = {tuple(step.action.name for step in run.steps) for run in runs}
     assert ("produce", "consume") in labels
+
+
+def test_non_strict_parameter_outside_the_guard_is_bound_over_the_domain():
+    # ``relaxed`` has a parameter its guard never mentions: it is still
+    # bound, over adom(I) in the reference and over Recent_b otherwise.
+    schema = Schema.of(("p", 0), ("R", 1))
+    mk = Action.create("mk", schema, fresh=("v",), add=[Fact.of("R", "v"), Fact.of("p")])
+    relaxed = Action.create(
+        "relaxed", schema, parameters=("u",), guard=parse_query("p"), strict=False
+    )
+    system = DMS.create(schema, DatabaseInstance.of(schema), [mk, relaxed])
+    expected = [("mk", {"v": "e2"}), ("relaxed", {"u": "e1"})]
+
+    after_mk = next(iter(enumerate_successors(system, initial_configuration(system)))).target
+    steps = enumerate_successors(system, after_mk)
+    assert [(step.action.name, dict(step.substitution)) for step in steps] == expected
+
+    root = initial_recency_configuration(system)
+    after_mk = next(iter(enumerate_b_bounded_successors(system, root, 1))).target
+    for bound in (1, None):
+        steps = enumerate_b_bounded_successors(system, after_mk, bound)
+        assert [(step.action.name, dict(step.substitution)) for step in steps] == expected
+    # With an empty recency window the parameter has nothing to bind.
+    assert [step.action.name for step in enumerate_b_bounded_successors(system, after_mk, 0)] == [
+        "mk"
+    ]
 
 
 def test_run_projection_and_gadom(example31, figure1_labels):

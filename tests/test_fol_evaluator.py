@@ -5,7 +5,13 @@ import pytest
 from repro.database.instance import DatabaseInstance, Fact
 from repro.database.substitution import Substitution
 from repro.errors import QueryError, SubstitutionError
-from repro.fol.evaluator import QueryEvaluator, answers, evaluate_sentence, satisfies
+from repro.fol.evaluator import (
+    QueryEvaluator,
+    answers,
+    evaluate_sentence,
+    iter_answers,
+    satisfies,
+)
 from repro.fol.parser import parse_query
 from repro.fol.syntax import Atom, Equals, Not
 
@@ -76,6 +82,22 @@ def test_answers_negative_query_active_domain_semantics(instance):
     # ¬Q(u) is answered only over adom(I).
     result = {sigma["u"] for sigma in answers(parse_query("!Q(u)"), instance)}
     assert result == {"e1"}
+
+
+def test_iter_answers_binds_the_given_variables_over_the_given_domain(instance):
+    # A variable the query does not mention still ranges over the domain,
+    # and the domain may be narrower than adom(I) (Recent_b for successors).
+    bindings = iter_answers(parse_query("p & R(u)"), instance, ("w", "u"), {"e2", "e1"})
+    assert [dict(sigma) for sigma in bindings] == [
+        {"u": "e1", "w": "e1"},
+        {"u": "e1", "w": "e2"},
+        {"u": "e2", "w": "e1"},
+        {"u": "e2", "w": "e2"},
+    ]
+    narrowed = iter_answers(parse_query("R(u)"), instance, ("u",), {"e2"})
+    assert [dict(sigma) for sigma in narrowed] == [{"u": "e2"}]
+    with pytest.raises(SubstitutionError):
+        list(iter_answers(parse_query("S(u, v)"), instance, ("u",)))
 
 
 def test_query_evaluator_facade(instance):

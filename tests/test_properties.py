@@ -5,9 +5,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.casestudies.simple import example_31_system
+from repro.casestudies.warehouse import warehouse_system
 from repro.database.instance import DatabaseInstance, Fact
 from repro.database.schema import Schema
 from repro.database.substitution import Substitution
+from repro.dms.builder import DMSBuilder
+from repro.dms.semantics import enumerate_successors
 from repro.encoding.analyzer import EncodingAnalyzer
 from repro.encoding.encoder import encode_run
 from repro.fol.evaluator import evaluate_sentence
@@ -28,6 +32,8 @@ from repro.recency.explorer import (
 from repro.recency.semantics import enumerate_b_bounded_successors
 from repro.recency.sequence import SequenceNumbering
 from repro.search import InternTable
+from repro.transforms.constants import remove_constants
+from repro.transforms.freshness import weaken_freshness
 from repro.workloads.generators import RandomDMSParameters, random_dms
 
 # ---------------------------------------------------------------------------
@@ -274,3 +280,54 @@ def test_reachability_witnesses_replay_through_the_semantics(seed, shape):
             for candidate in successors
         )
     assert evaluate_sentence(instance.condition, witness.instances()[-1])
+
+
+# ---------------------------------------------------------------------------
+# One successor relation: bound=None against the Section 3 reference
+# ---------------------------------------------------------------------------
+
+
+def _assert_unbounded_successors_match_reference(system, depth):
+    """``bound=None`` is the reference relation, and so is any ``b ≥ |adom|``."""
+    explored = RecencyExplorer(system, None, RecencyExplorationLimits(max_depth=depth)).explore()
+    for configuration in explored.configurations:
+        unified = list(enumerate_b_bounded_successors(system, configuration, None))
+        reference = list(enumerate_successors(system, configuration.plain()))
+        assert [
+            (step.action, tuple(step.substitution.items()), step.target.plain())
+            for step in unified
+        ] == [
+            (step.action, tuple(step.substitution.items()), step.target) for step in reference
+        ]
+        wide = len(configuration.active_domain)
+        for bound in (wide, wide + 1):
+            assert list(enumerate_b_bounded_successors(system, configuration, bound)) == unified
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), _FUZZ_SHAPES)
+def test_unbounded_successors_match_the_reference(seed, shape):
+    instance = generate_instance(seed, "smoke", shape=shape)
+    _assert_unbounded_successors_match_reference(instance.system, instance.depth)
+
+
+def test_unbounded_successors_match_the_reference_under_weakened_freshness():
+    _assert_unbounded_successors_match_reference(weaken_freshness(example_31_system()), 2)
+
+
+def test_unbounded_successors_match_the_reference_without_constants():
+    builder = DMSBuilder("with-constants")
+    builder.relations(("R", 2), ("Q", 1), ("start", 0))
+    builder.initially("start")
+    builder.initial_fact("R", "c1", "c2")
+    builder.action(
+        "grow", parameters=("u",), fresh=("v",), guard="exists w. R(u, w)", add=[("R", "v", "u")]
+    )
+    builder.action("touch", parameters=("u",), guard="exists w. R(u, w)", add=[("Q", "u")])
+    system = remove_constants(builder.build(require_empty_initial_adom=False), ("c1", "c2"))
+    _assert_unbounded_successors_match_reference(system, 3)
+
+
+def test_unbounded_successors_match_the_reference_under_bulk_compilation():
+    # Depth 8 reaches every protocol action, Finalize included.
+    _assert_unbounded_successors_match_reference(warehouse_system(), 8)

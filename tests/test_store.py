@@ -27,7 +27,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExplorationOptions, run_reachability
+from repro.casestudies.booking import booking_agency_system
 from repro.dms.builder import DMSBuilder
+from repro.dms.configuration import Configuration
+from repro.dms.run import ExtendedRun
 from repro.errors import StoreError
 from repro.fol.parser import parse_query
 from repro.modelcheck.convergence import state_space_bound_sweep
@@ -91,6 +95,37 @@ def test_repeat_queries_are_bit_identical_across_retentions(cycle_system, tmp_pa
         )
         assert bounded_warm == bounded_cold
         assert store.stats()["hits"] >= 2  # both repeats were served
+
+
+def test_unbounded_store_keys_and_witness_are_pinned(tmp_path):
+    """The unbounded graph runs on the recency explorer with ``bound=None``
+    but keeps its ``"dms"`` keys, so stores written before still hit, and
+    its witness stays an extended run over plain configurations."""
+    store = ResultStore(tmp_path / "store")
+    result = run_reachability(
+        booking_agency_system(),
+        parse_query("Exists x. BDrafting(x)"),
+        bound=None,
+        options=ExplorationOptions(max_depth=6),
+        store=store,
+    )
+    assert sorted(store.keys()) == [
+        "7ab0446b70e7e8dc1dfb41ce6187c786e99df19bb18e8b020241c5aa83114fb3",
+        "d68388a41e428e99b3f74e43369aeb36f6545d28bd999f347928bb098b6912a7",
+    ]
+    witness = result.witness
+    assert isinstance(witness, ExtendedRun)
+    assert all(type(configuration) is Configuration for configuration in witness.configurations())
+    assert [
+        f"{step.action.name}({','.join(f'{k}={v}' for k, v in step.substitution.items())})"
+        for step in witness.steps
+    ] == [
+        "regAgent(a=e1)",
+        "regCustomer(c=e2)",
+        "regRestaurant(r=e3)",
+        "newO1(r=e3,a=e1,o=e4)",
+        "newB(c=e2,o=e4,bk=e5)",
+    ]
 
 
 def test_exploration_results_hit_with_full_fragment_equality(cycle_system, tmp_path):

@@ -93,10 +93,12 @@ def test_weaken_freshness_records_history(example31):
 
 def test_weakened_system_allows_reusing_values(example31):
     """After one alpha, a historical variant can re-link an existing value."""
-    from repro.dms.graph import ConfigurationGraphExplorer, ExplorationLimits
+    from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 
     weakened = weaken_freshness(example31)
-    explorer = ConfigurationGraphExplorer(weakened, ExplorationLimits(max_depth=2, max_configurations=3000))
+    explorer = RecencyExplorer(
+        weakened, None, RecencyExplorationLimits(max_depth=2, max_configurations=3000)
+    )
     witness, _ = explorer.find_configuration(
         lambda conf: any(
             len(conf.instance.relation_rows(rel)) != len(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.dms.builder import DMSBuilder
-from repro.dms.graph import ExplorationLimits
 from repro.modelcheck.reachability import query_reachable, query_reachable_bounded
 from repro.modelcheck.result import Verdict
 from repro.recency.explorer import RecencyExplorationLimits
@@ -53,7 +52,7 @@ def test_configuration_truncation_reports_unknown(two_step_system, max_configura
     result = query_reachable(
         two_step_system,
         "goal",
-        limits=ExplorationLimits(max_depth=5, max_configurations=max_configurations),
+        limits=RecencyExplorationLimits(max_depth=5, max_configurations=max_configurations),
     )
     assert result.reachable is Verdict.UNKNOWN
     bounded = query_reachable_bounded(
@@ -73,7 +72,7 @@ def test_exact_configuration_limit_on_last_successor_reports_unknown(two_step_sy
     result = query_reachable(
         two_step_system,
         "goal",
-        limits=ExplorationLimits(max_depth=5, max_configurations=TOTAL_CONFIGURATIONS),
+        limits=RecencyExplorationLimits(max_depth=5, max_configurations=TOTAL_CONFIGURATIONS),
     )
     assert result.reachable is Verdict.UNKNOWN
     bounded = query_reachable_bounded(
@@ -92,7 +91,7 @@ def test_step_truncation_reports_unknown(two_step_system, max_steps):
     result = query_reachable(
         two_step_system,
         "goal",
-        limits=ExplorationLimits(max_depth=5, max_steps=max_steps),
+        limits=RecencyExplorationLimits(max_depth=5, max_steps=max_steps),
     )
     assert result.reachable is Verdict.UNKNOWN
     bounded = query_reachable_bounded(
@@ -111,7 +110,7 @@ def test_witness_on_the_truncating_successor_still_holds(two_step_system):
     result = query_reachable(
         two_step_system,
         "c",
-        limits=ExplorationLimits(max_depth=5, max_configurations=TOTAL_CONFIGURATIONS),
+        limits=RecencyExplorationLimits(max_depth=5, max_configurations=TOTAL_CONFIGURATIONS),
     )
     assert result.reachable is Verdict.HOLDS
     assert len(result.witness.steps) == 2
