@@ -27,10 +27,10 @@ import os
 import time
 from dataclasses import dataclass
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.booking import booking_agency_system
 from repro.fol.parser import parse_query
 from repro.harness.reporting import print_experiment
-from repro.modelcheck import query_reachable_bounded
 from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 from repro.runtime import WorkerPool
 from repro.search import (
@@ -178,10 +178,11 @@ def booking_bit_identical(quick: bool) -> list[dict]:
         # Witness parity: the bounded reachability query must agree
         # verdict-for-verdict and step-for-step with the serial one.
         condition = parse_query("exists o. OAvail(o)")
-        serial = query_reachable_bounded(_BOOKING, condition, bound, max_depth=depth)
-        sharded = query_reachable_bounded(
-            _BOOKING, condition, bound, max_depth=depth,
-            shards=4, workers=4, pool=pool,
+        options = ExplorationOptions(max_depth=depth)
+        serial = run_reachability(_BOOKING, condition, bound=bound, options=options)
+        sharded = run_reachability(
+            _BOOKING, condition, bound=bound,
+            options=options.replace(shards=4, workers=4), pool=pool,
         )
     witness_match = serial.reachable == sharded.reachable and (
         (serial.witness is None) == (sharded.witness is None)

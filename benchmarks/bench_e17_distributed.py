@@ -27,11 +27,11 @@ the shared ``run_once`` fixture.
 import os
 import time
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.booking import booking_agency_system
 from repro.distributed import DistributedEngine
 from repro.fol.parser import parse_query
 from repro.harness.reporting import print_experiment
-from repro.modelcheck import query_reachable_bounded
 from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 from repro.recency.semantics import (
     enumerate_b_bounded_successors,
@@ -141,9 +141,10 @@ def booking_bit_identical(quick: bool) -> list[dict]:
         elapsed = time.perf_counter() - started
 
     condition = parse_query("exists o. OAvail(o)")
-    serial = query_reachable_bounded(_BOOKING, condition, _BOUND, max_depth=depth)
-    distributed = query_reachable_bounded(
-        _BOOKING, condition, _BOUND, max_depth=depth, nodes=2
+    options = ExplorationOptions(max_depth=depth)
+    serial = run_reachability(_BOOKING, condition, bound=_BOUND, options=options)
+    distributed = run_reachability(
+        _BOOKING, condition, bound=_BOUND, options=options.replace(nodes=2)
     )
     witness_match = serial.reachable == distributed.reachable and (
         (serial.witness is None) == (distributed.witness is None)

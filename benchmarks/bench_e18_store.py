@@ -25,11 +25,11 @@ via the shared ``run_once`` fixture.
 import os
 import time
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.booking import booking_agency_system
 from repro.fol.parser import parse_query
 from repro.harness.reporting import print_experiment
 from repro.modelcheck.convergence import state_space_bound_sweep
-from repro.modelcheck.reachability import query_reachable_bounded
 from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors
 from repro.store import ResultStore, cached_compute
@@ -53,8 +53,9 @@ def cache_hit_speedup(quick: bool, store_root) -> list[dict]:
         sweep_rows = state_space_bound_sweep(
             _BOOKING, bounds=bounds, max_depth=depth, store=active_store
         )
-        query = query_reachable_bounded(
-            _BOOKING, _CLOSED, bounds[-1], max_depth=depth, store=active_store
+        query = run_reachability(
+            _BOOKING, _CLOSED, bound=bounds[-1], options=ExplorationOptions(max_depth=depth),
+            store=active_store,
         )
         return sweep_rows, query
 

@@ -10,10 +10,10 @@ Run with:  python examples/booking_agency.py
 
 from __future__ import annotations
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.booking import booking_agency_system, gold_customer_query
 from repro.dms import enumerate_successors, execute_labels
 from repro.fol import satisfies
-from repro.modelcheck import proposition_reachable_bounded
 from repro.fol.syntax import Atom, Exists
 from repro.recency import RecencyExplorer
 from repro.recency.explorer import RecencyExplorationLimits
@@ -64,8 +64,11 @@ def main() -> None:
     exploration = explorer.explore()
     print(f"  explored {exploration.configuration_count} configurations "
           f"({exploration.edge_count} transitions) at bound 4, depth 5")
-    reachable = proposition_reachable_bounded(
-        system, Exists("b", Atom("BDrafting", ("b",))), bound=5, max_depth=6
+    reachable = run_reachability(
+        system,
+        Exists("b", Atom("BDrafting", ("b",))),
+        bound=5,
+        options=ExplorationOptions(max_depth=6),
     )
     print(f"  'a booking reaches the drafting state' reachable at b=5: {reachable.found}")
 

@@ -13,6 +13,7 @@ Run with:  python examples/counter_machine_undecidability.py
 
 from __future__ import annotations
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.counter import (
     CounterMachine,
     binary_encoding,
@@ -20,7 +21,6 @@ from repro.counter import (
     state_proposition,
     unary_encoding,
 )
-from repro.modelcheck import proposition_reachable_bounded
 
 
 def build_machine() -> CounterMachine:
@@ -52,8 +52,12 @@ def main() -> None:
     print(f"Binary encoding: schema {binary.schema}")
 
     target = state_proposition("qf")
-    unary_result = proposition_reachable_bounded(unary, target, bound=2, max_depth=10)
-    binary_result = proposition_reachable_bounded(binary, target, bound=2, max_depth=12)
+    unary_result = run_reachability(
+        unary, target, bound=2, options=ExplorationOptions(max_depth=10)
+    )
+    binary_result = run_reachability(
+        binary, target, bound=2, options=ExplorationOptions(max_depth=12)
+    )
     print(f"\n  S_qf reachable in the unary-encoding DMS : {unary_result.found} "
           f"({unary_result.configurations_explored} configurations)")
     print(f"  S_qf reachable in the binary-encoding DMS: {binary_result.found} "

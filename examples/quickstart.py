@@ -10,12 +10,10 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.dms import DMSBuilder, enumerate_successors, initial_configuration
 from repro.fol import parse_query
-from repro.modelcheck import (
-    RecencyBoundedModelChecker,
-    proposition_reachable_bounded,
-)
+from repro.modelcheck import RecencyBoundedModelChecker
 from repro.msofo.patterns import safety_formula
 
 
@@ -64,8 +62,9 @@ def main() -> None:
 
     # 2. Recency-bounded reachability: can a ticket ever be closed when only the
     #    2 most recent elements may be modified?
-    closed_reachable = proposition_reachable_bounded(
-        system, parse_query("exists t. Closed(t)"), bound=2, max_depth=4
+    options = ExplorationOptions(max_depth=4)
+    closed_reachable = run_reachability(
+        system, parse_query("exists t. Closed(t)"), bound=2, options=options
     )
     print(f"'some ticket closed' reachable at b=2: {closed_reachable.found} "
           f"({closed_reachable.configurations_explored} configurations explored)")
@@ -82,9 +81,9 @@ def main() -> None:
     #    (workers > 1 would batch successor expansion across processes), and
     #    the merged result — verdict, statistics, witness — is bit-identical
     #    to the single-shard exploration of step 2.
-    sharded = proposition_reachable_bounded(
-        system, parse_query("exists t. Closed(t)"), bound=2, max_depth=4,
-        shards=4, workers=1,
+    sharded = run_reachability(
+        system, parse_query("exists t. Closed(t)"), bound=2,
+        options=options.replace(shards=4, workers=1),
     )
     assert sharded.found == closed_reachable.found
     assert sharded.configurations_explored == closed_reachable.configurations_explored

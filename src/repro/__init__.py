@@ -12,7 +12,7 @@ A from-scratch Python implementation of the framework of
   (:mod:`repro.nestedwords`),
 * the nested-word encoding of b-bounded runs, its validity conditions and
   the MSO-FO -> MSONW translation (:mod:`repro.encoding`),
-* reachability and recency-bounded model checking (:mod:`repro.modelcheck`),
+* recency-bounded model checking and convergence sweeps (:mod:`repro.modelcheck`),
 * the unified facade — options, one query entry point, warm sessions
   (:mod:`repro.api`) — and the HTTP verification service over it
   (:mod:`repro.service`),
@@ -30,8 +30,6 @@ from repro.modelcheck import (
     RecencyBoundedModelChecker,
     Verdict,
     check_recency_bounded,
-    proposition_reachable,
-    proposition_reachable_bounded,
 )
 from repro.recency import RecencyBoundedRun, SymbolicLabel, abstract_run, concretize_word
 
@@ -57,7 +55,5 @@ __all__ = [
     "abstract_run",
     "check_recency_bounded",
     "concretize_word",
-    "proposition_reachable",
-    "proposition_reachable_bounded",
     "run_reachability",
 ]

@@ -1,23 +1,22 @@
-"""The unified library facade: one options surface, one query entry point,
-one warm session object.
+"""The library facade: one options surface, one query entry point, one
+warm session object.
 
-Historically each layer of the library grew its own entry points — four
-``modelcheck.reachability`` functions, explorer constructors, sweep
-helpers — every one re-declaring the same dozen exploration knobs.  This
-package collapses them into a single surface:
+Every reachability question goes through this package:
 
 * :class:`ExplorationOptions` — every knob that shapes an exploration
   (limits, strategy, retention, sharding, distribution), as one frozen
-  value object;
-* :func:`run_reachability` — the one reachability implementation; the
-  legacy ``modelcheck.reachability`` functions are thin shims over it;
+  value object that travels whole through queries, sessions and the
+  convergence sweeps;
+* :func:`run_reachability` — the one reachability implementation,
+  bounded (``bound=b``) or unbounded (``bound=None``), over a
+  proposition name or a boolean FOL(R) query;
 * :class:`Session` — a warm, thread-safe verification session owning a
   :class:`~repro.runtime.pool.WorkerPool`, a resolved result store and
   a metrics registry, serving repeated queries without per-call setup.
 
-The HTTP service (:mod:`repro.service`), the experiment harness and
-library callers all consume this facade, so behaviour (verdicts,
-witnesses, store keys) is defined in exactly one place.
+The HTTP service (:mod:`repro.service`), the experiment harness, the
+fuzz oracle and library callers all consume this facade, so behaviour
+(verdicts, witnesses, store keys) is defined in exactly one place.
 """
 
 from repro.api.options import ExplorationOptions

@@ -4,10 +4,9 @@
 reachability queries and the convergence sweeps used to re-declare
 individually: limits, frontier strategy, edge retention, and the
 sharding/worker/node execution shape.  The facade
-(:func:`repro.api.run_reachability`, :class:`repro.api.Session`) and the
-service layer pass one options value around instead of a dozen keyword
-arguments; the legacy keyword surfaces build an options value and
-delegate.
+(:func:`repro.api.run_reachability`, :class:`repro.api.Session`), the
+convergence sweeps and the service layer pass one options value around
+instead of a dozen keyword arguments.
 
 Execution-shape knobs (``shards``/``workers``/``shared_interning``/
 ``nodes``/``transport``) never change verdicts or witnesses — they are
@@ -21,7 +20,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.recency.explorer import RecencyExplorationLimits
+from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 from repro.search import RETAIN_PARENTS
 
 __all__ = ["ExplorationOptions"]
@@ -70,7 +69,7 @@ class ExplorationOptions:
 
         This is the only execution shape where a successor override can
         reach the engine, so it gates the store's subgraph capture and
-        delta verification exactly as the legacy entry points did.
+        delta verification.
         """
         return self.shards == 1 and self.workers == 1 and self.nodes == 1
 
@@ -86,20 +85,25 @@ class ExplorationOptions:
             max_steps=self.max_steps,
         )
 
-    @classmethod
-    def from_limits(
-        cls, limits: RecencyExplorationLimits | None, **knobs
-    ) -> "ExplorationOptions":
-        """Build options from a legacy limits object plus keyword knobs.
+    def explorer(self, system, bound: int | None, *, pool=None, successors=None) -> RecencyExplorer:
+        """An explorer of ``system`` at ``bound`` shaped by these options.
 
-        This is the bridge the ``modelcheck.reachability`` shims use: the
-        limits carry the same three fields, so the conversion is lossless.
+        ``pool`` lends warm expansion workers to sharded explorations;
+        ``successors`` overrides the successor function (the store's
+        capture and delta paths).
         """
-        if limits is None:
-            return cls(**knobs)
-        return cls(
-            max_depth=limits.max_depth,
-            max_configurations=limits.max_configurations,
-            max_steps=limits.max_steps,
-            **knobs,
+        return RecencyExplorer(
+            system,
+            bound,
+            self.recency_limits(),
+            strategy=self.strategy,
+            heuristic=self.heuristic,
+            retention=self.retention,
+            shards=self.shards,
+            workers=self.workers,
+            pool=pool,
+            shared_interning=self.shared_interning,
+            nodes=self.nodes,
+            transport=self.transport,
+            successors=successors,
         )

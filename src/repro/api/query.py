@@ -1,23 +1,22 @@
 """The one reachability implementation behind every entry point.
 
-:func:`run_reachability` unifies the four legacy
-:mod:`repro.modelcheck.reachability` functions: an integer bound
-explores the canonical b-bounded graph and ``bound=None`` the unbounded
-(depth-bounded) configuration graph, through the same explorer; a
-proposition name or a boolean FOL(R) query selects the condition.  The
-legacy functions survive as thin delegating shims, so verdicts,
-witnesses, truncation semantics and content-store keys are defined here
-and only here.  The bound changes only the store's graph name and, for
-``None``, projects the witness onto plain configurations.
+:func:`run_reachability` is the only way to ask whether a condition is
+reachable: an integer bound explores the canonical b-bounded graph and
+``bound=None`` the unbounded (depth-bounded) configuration graph,
+through the same explorer; a proposition name or a boolean FOL(R) query
+selects the condition.  Sessions, the convergence sweeps, the harness,
+the fuzz oracle and the service all call it, so verdicts, witnesses,
+truncation semantics and content-store keys are defined here and only
+here.  The bound changes only the store's graph name and, for ``None``,
+projects the witness onto plain configurations.
 
-The truncation contract is unchanged: an exploration cut short by any
-limit reports an unreached condition
+The truncation contract: an exploration cut short by any limit
+reports an unreached condition
 :attr:`~repro.modelcheck.result.Verdict.UNKNOWN`, never
-:attr:`~repro.modelcheck.result.Verdict.FAILS`.  Store keys are also
-unchanged — the parameter assignment (payload kind, condition key,
-limits, strategy, retention, graph kind) is byte-for-byte the one the
-legacy entry points produced, so stores populated before the facade
-existed keep serving hits.
+:attr:`~repro.modelcheck.result.Verdict.FAILS`.  Store keys are the
+parameter assignment (payload kind, condition key, limits, strategy,
+retention, graph kind), byte-for-byte the one earlier releases
+produced, so populated stores keep serving hits.
 
 ``on_state`` streams exploration progress: it fires with each newly
 discovered configuration and its depth, in discovery order, on every
@@ -38,7 +37,6 @@ from repro.errors import ModelCheckingError
 from repro.fol.evaluator import evaluate_sentence
 from repro.fol.syntax import Query
 from repro.modelcheck.result import ReachabilityResult, Verdict
-from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors
 from repro.store.service import cached_compute
 
@@ -114,21 +112,7 @@ def run_reachability(
     effective = options.recency_limits()
 
     def compute(successors) -> ReachabilityResult:
-        explorer = RecencyExplorer(
-            system,
-            bound,
-            effective,
-            strategy=options.strategy,
-            heuristic=options.heuristic,
-            retention=options.retention,
-            shards=options.shards,
-            workers=options.workers,
-            pool=pool,
-            shared_interning=options.shared_interning,
-            nodes=options.nodes,
-            transport=options.transport,
-            successors=successors,
-        )
+        explorer = options.explorer(system, bound, pool=pool, successors=successors)
         witness, stats = explorer.find_configuration(
             lambda configuration: predicate(configuration.instance), on_state
         )

@@ -289,8 +289,9 @@ class Session:
         """Sweep the recency bound, sharing the session's store and pool.
 
         Delegates to
-        :func:`repro.modelcheck.convergence.reachability_bound_sweep`;
-        ``on_point`` streams each completed bound (the service's
+        :func:`repro.modelcheck.convergence.reachability_bound_sweep`
+        with the options passed whole, so every point honours their
+        limits; ``on_point`` streams each completed bound (the service's
         convergence endpoint surfaces it as progress events).
         """
         self._ensure_open()
@@ -301,52 +302,11 @@ class Session:
             system,
             condition,
             bounds,
-            max_depth=effective.max_depth,
-            strategy=effective.strategy,
-            heuristic=effective.heuristic,
-            retention=effective.retention,
-            shards=effective.shards,
-            workers=effective.workers,
+            effective.max_depth,
+            options=effective,
             pool=self._exploration_pool(effective),
-            shared_interning=effective.shared_interning,
-            nodes=effective.nodes,
-            transport=effective.transport,
             store=self._effective_store(),
             on_point=on_point,
-        )
-
-    def convergence_bound(
-        self,
-        system: DMS,
-        condition: Query | str,
-        max_bound: int = 8,
-        *,
-        options: ExplorationOptions | None = None,
-    ) -> int | None:
-        """The least bound whose verdict matches the unbounded query.
-
-        Delegates to
-        :func:`repro.modelcheck.convergence.convergence_bound` with the
-        session's store and pool.
-        """
-        self._ensure_open()
-        from repro.modelcheck.convergence import convergence_bound
-
-        effective = options or self._options
-        return convergence_bound(
-            system,
-            condition,
-            max_bound=max_bound,
-            max_depth=effective.max_depth,
-            strategy=effective.strategy,
-            heuristic=effective.heuristic,
-            shards=effective.shards,
-            workers=effective.workers,
-            pool=self._exploration_pool(effective),
-            shared_interning=effective.shared_interning,
-            nodes=effective.nodes,
-            transport=effective.transport,
-            store=self._effective_store(),
         )
 
     # -- lifecycle -------------------------------------------------------------

@@ -29,8 +29,10 @@ The moving parts:
 
 Most callers never touch this package directly: pass ``nodes=2`` (and
 optionally ``transport=``) to :class:`~repro.search.sharded.ShardedEngine`,
-either explorer, any ``modelcheck.reachability`` entry point, the
-convergence sweeps or the harness CLI.  See ``docs/distributed.md`` for
+:class:`~repro.recency.explorer.RecencyExplorer`, or through
+:class:`~repro.api.ExplorationOptions` to
+:func:`~repro.api.run_reachability` and the convergence sweeps — or use
+the harness CLI.  See ``docs/distributed.md`` for
 the wire format, the failure semantics and a deployment recipe.
 """
 

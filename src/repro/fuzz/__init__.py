@@ -52,7 +52,6 @@ from repro.fuzz.serialize import (
     system_to_json,
 )
 from repro.fuzz.shrink import shrink_candidates, shrink_instance
-from repro.fuzz.vocabulary import VocabularyEntry, corpus_vocabulary
 
 __all__ = [
     "TIERS",
@@ -80,6 +79,4 @@ __all__ = [
     "sample_entries",
     "ReplayOutcome",
     "replay_entry",
-    "VocabularyEntry",
-    "corpus_vocabulary",
 ]

@@ -6,8 +6,8 @@ one path a free test oracle for the other: for every fuzz instance this
 module answers the same reachability question along two independent
 routes and compares —
 
-* **engine**: :func:`repro.modelcheck.reachability.query_reachable_bounded`,
-  BFS over the deduplicated canonical configuration graph;
+* **engine**: :func:`repro.api.run_reachability` at the instance's
+  bound, BFS over the deduplicated canonical configuration graph;
 * **encoding**: enumerate every canonical b-bounded run prefix
   (:func:`repro.recency.explorer.iterate_b_bounded_runs`), encode each as
   a nested word (:func:`repro.encoding.encoder.encode_run`), and read the
@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.encoding.analyzer import EncodingAnalyzer
 from repro.encoding.encoder import encode_run
 from repro.errors import ModelCheckingError
 from repro.fol.evaluator import evaluate_sentence
 from repro.fuzz.generator import FuzzInstance
 from repro.modelcheck.checker import RecencyBoundedModelChecker
-from repro.modelcheck.reachability import query_reachable_bounded
 from repro.modelcheck.result import Verdict
 from repro.recency.explorer import iterate_b_bounded_runs
 
@@ -296,11 +296,11 @@ def differential_report(
     ``REPRO_STORE`` can never mask a live disagreement behind a cached
     result.
     """
-    engine = query_reachable_bounded(
+    engine = run_reachability(
         instance.system,
         instance.condition,
-        instance.bound,
-        max_depth=instance.depth,
+        bound=instance.bound,
+        options=ExplorationOptions(max_depth=instance.depth),
         store=False,
     )
     encoding, runs_checked, limited, side_checks = encoding_reachability(

@@ -7,6 +7,7 @@ them with pytest-benchmark) and print the rows.
 
 from __future__ import annotations
 
+from repro.api import ExplorationOptions, Session, run_reachability
 from repro.casestudies.booking import booking_agency_system
 from repro.casestudies.simple import (
     example_31_system,
@@ -25,10 +26,6 @@ from repro.encoding.translate import (
     reduction_formula_size,
 )
 from repro.modelcheck.convergence import reachability_bound_sweep, state_space_bound_sweep
-from repro.modelcheck.reachability import (
-    proposition_reachable_bounded,
-    query_reachable_bounded,
-)
 from repro.msofo.patterns import proposition_reachability_formula, safety_formula
 from repro.msofo.semantics import holds_on_run
 from repro.recency.abstraction import abstract_run, symbolic_alphabet
@@ -343,11 +340,11 @@ def experiment_e8_counter_reductions(max_depth: int = 8) -> list[dict]:
         unary = unary_encoding(machine)
         binary = binary_encoding(machine)
         proposition = state_proposition(target)
-        unary_result = proposition_reachable_bounded(
-            unary, proposition, bound=2, max_depth=max_depth
+        unary_result = run_reachability(
+            unary, proposition, bound=2, options=ExplorationOptions(max_depth=max_depth)
         )
-        binary_result = proposition_reachable_bounded(
-            binary, proposition, bound=2, max_depth=max_depth + 1
+        binary_result = run_reachability(
+            binary, proposition, bound=2, options=ExplorationOptions(max_depth=max_depth + 1)
         )
         rows.append(
             {
@@ -457,8 +454,6 @@ def experiment_e10_booking(max_depth: int = 5) -> list[dict]:
     )
     # Both lifecycle queries share one warm facade session (the same
     # surface the verification service holds for its whole lifespan).
-    from repro.api import ExplorationOptions, Session
-
     with Session() as session:
         offer_available = session.run_reachability(
             system,
@@ -797,9 +792,10 @@ def experiment_e14_sharded(
     # minimal witness through the single-shard and the sharded paths.
     booking = booking_agency_system()
     condition = Exists("x_state", Atom("OAvail", ("x_state",)))
-    reference = query_reachable_bounded(booking, condition, bound=2, max_depth=4)
-    sharded = query_reachable_bounded(
-        booking, condition, bound=2, max_depth=4, shards=4, workers=2
+    options = ExplorationOptions(max_depth=4)
+    reference = run_reachability(booking, condition, bound=2, options=options)
+    sharded = run_reachability(
+        booking, condition, bound=2, options=options.replace(shards=4, workers=2)
     )
     witnesses_equal = (
         reference.found

@@ -38,19 +38,13 @@ from repro.loadgen.script import (
     write_trace,
 )
 from repro.loadgen.sketch import QuantileSketch
-from repro.loadgen.vocabulary import (
-    QueryTemplate,
-    builtin_templates,
-    vocabulary_case_studies,
-    vocabulary_templates,
-)
+from repro.loadgen.vocabulary import QueryTemplate, builtin_templates, vocabulary
 
 __all__ = [
     "QuantileSketch",
     "QueryTemplate",
     "builtin_templates",
-    "vocabulary_templates",
-    "vocabulary_case_studies",
+    "vocabulary",
     "PlannedRequest",
     "SessionScript",
     "generate_sessions",

@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.loadgen.driver import run_closed_loop, run_open_loop
 from repro.loadgen.invariants import check_invariants
 from repro.loadgen.script import generate_sessions, read_trace, write_trace
-from repro.loadgen.vocabulary import vocabulary_case_studies, vocabulary_templates
+from repro.loadgen.vocabulary import vocabulary
 from repro.obs.metrics import MetricsRegistry
 from repro.service.app import ServiceConfig, create_app
 from repro.service.testing import AsgiClient
@@ -102,11 +102,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run the loadgen CLI; returns the process exit code."""
     args = _parser().parse_args(argv)
 
-    templates = vocabulary_templates(
-        tier=args.corpus_tier, limit=args.corpus_limit, include_corpus=args.corpus
-    )
-    case_studies = vocabulary_case_studies(
-        tier=args.corpus_tier, limit=args.corpus_limit, include_corpus=args.corpus
+    templates, case_studies = vocabulary(
+        args.corpus, tier=args.corpus_tier, limit=args.corpus_limit
     )
 
     if args.replay is not None:

@@ -5,14 +5,14 @@ A traffic script draws every request from a vocabulary of
 envelope) shape.  :func:`builtin_templates` covers the paper's §6 case
 studies (the anchor workloads: booking lifecycle predicates, the
 Example 3.1 system, student enrolment, warehouse orders), and
-:func:`vocabulary_templates` optionally extends them with fuzz-corpus
-instances via :func:`repro.fuzz.corpus_vocabulary`, so sustained load
-exercises generated systems alongside the hand-written ones.
+:func:`vocabulary` optionally extends them with fuzz-corpus instances,
+so sustained load exercises generated systems alongside the
+hand-written ones.
 
-The service resolves systems by name, so corpus-backed templates come
-with :func:`vocabulary_case_studies` — the ``{name: factory}`` registry
-(defaults plus corpus factories) the loadgen app must be configured
-with for those names to resolve.
+The service resolves systems by name, so :func:`vocabulary` returns the
+templates together with the ``{name: factory}`` registry (defaults plus
+one ``fuzz-<tier>-<hash16>`` factory per corpus entry) the loadgen app
+must be configured with for those names to resolve.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from repro.fuzz.vocabulary import corpus_vocabulary
+from repro.fuzz.corpus import iter_entries, load_instance
+from repro.fuzz.serialize import render_query
 from repro.service.sessions import DEFAULT_CASE_STUDIES
 
-__all__ = [
-    "QueryTemplate",
-    "builtin_templates",
-    "vocabulary_templates",
-    "vocabulary_case_studies",
-]
+__all__ = ["QueryTemplate", "builtin_templates", "vocabulary"]
 
 #: Cap on the exploration depth a corpus-derived template may request —
 #: corpus tiers grade instance cost, but replayed traffic should stay
@@ -87,50 +83,43 @@ def builtin_templates() -> tuple[QueryTemplate, ...]:
     )
 
 
-def vocabulary_templates(
+def vocabulary(
+    include_corpus: bool = False,
     corpus: Path | None = None,
     tier: str | None = None,
     limit: int | None = None,
-    include_corpus: bool = False,
-) -> tuple[QueryTemplate, ...]:
-    """The full template vocabulary: builtins, plus corpus entries.
+) -> tuple[tuple[QueryTemplate, ...], Mapping[str, Callable[[], object]]]:
+    """The template vocabulary and the registry that serves it.
 
-    With ``include_corpus`` the fuzz corpus slice selected by
-    ``corpus``/``tier``/``limit`` is appended as ``source="corpus"``
-    templates (depths capped at 4 to keep replay interactive); serve
-    them with the registry from :func:`vocabulary_case_studies` called
-    with the same arguments.
+    Returns ``(templates, case_studies)``: the builtin templates over
+    the default case studies and, with ``include_corpus``, one
+    ``source="corpus"`` template and one factory per corpus entry.  The
+    corpus slice is read once: ``corpus``/``tier`` select it exactly as
+    :func:`repro.fuzz.corpus.iter_entries` does, and ``limit`` keeps the
+    first N entries sorted by servable name (independent of directory
+    enumeration order).  Corpus templates keep the entry's recorded
+    bound and its depth capped at 4, so replay stays interactive; each
+    factory returns the system deserialized here, matching how the
+    built-in factories behave under the service's own caching.
     """
     templates = list(builtin_templates())
+    case_studies: dict[str, Callable[[], object]] = dict(DEFAULT_CASE_STUDIES)
     if include_corpus:
-        for entry in corpus_vocabulary(corpus, tier, limit):
+        entries = []
+        for path in iter_entries(corpus, tier):
+            instance, _ = load_instance(path)
+            entries.append((f"fuzz-{instance.tier}-{path.stem}", instance))
+        entries.sort(key=lambda entry: entry[0])
+        for name, instance in entries[:limit]:
             templates.append(
                 QueryTemplate(
-                    case_study=entry.name,
-                    condition=entry.condition,
+                    case_study=name,
+                    condition=render_query(instance.condition),
                     proposition=None,
-                    bound=entry.bound,
-                    max_depth=min(entry.depth, _CORPUS_DEPTH_CAP),
+                    bound=instance.bound,
+                    max_depth=min(instance.depth, _CORPUS_DEPTH_CAP),
                     source="corpus",
                 )
             )
-    return tuple(templates)
-
-
-def vocabulary_case_studies(
-    corpus: Path | None = None,
-    tier: str | None = None,
-    limit: int | None = None,
-    include_corpus: bool = False,
-) -> Mapping[str, Callable[[], object]]:
-    """The ``{name: factory}`` registry serving a template vocabulary.
-
-    The default case studies plus, under ``include_corpus``, one factory
-    per corpus entry (same slice arguments as
-    :func:`vocabulary_templates`, so names line up).
-    """
-    registry: dict[str, Callable[[], object]] = dict(DEFAULT_CASE_STUDIES)
-    if include_corpus:
-        for entry in corpus_vocabulary(corpus, tier, limit):
-            registry[entry.name] = entry.factory
-    return registry
+            case_studies[name] = lambda system=instance.system: system
+    return tuple(templates), case_studies

@@ -1,4 +1,7 @@
-"""Model checking of DMSs: reachability, recency-bounded MSO-FO checking and convergence."""
+"""Model checking of DMSs: recency-bounded MSO-FO checking and convergence in the bound.
+
+Reachability queries themselves go through :func:`repro.api.run_reachability`.
+"""
 
 from repro.modelcheck.checker import RecencyBoundedModelChecker, check_recency_bounded
 from repro.modelcheck.convergence import (
@@ -6,12 +9,6 @@ from repro.modelcheck.convergence import (
     convergence_bound,
     reachability_bound_sweep,
     state_space_bound_sweep,
-)
-from repro.modelcheck.reachability import (
-    proposition_reachable,
-    proposition_reachable_bounded,
-    query_reachable,
-    query_reachable_bounded,
 )
 from repro.modelcheck.result import ModelCheckingResult, ReachabilityResult, Verdict
 
@@ -23,10 +20,6 @@ __all__ = [
     "Verdict",
     "check_recency_bounded",
     "convergence_bound",
-    "proposition_reachable",
-    "proposition_reachable_bounded",
-    "query_reachable",
-    "query_reachable_bounded",
     "reachability_bound_sweep",
     "state_space_bound_sweep",
 ]

@@ -7,6 +7,12 @@ converge to the exact ones in the limit (Example 5.2 derives a concrete
 the bound and report how verdicts and the amount of explored behaviour
 evolve, which is what experiment E9 measures.
 
+Every helper takes one :class:`~repro.api.ExplorationOptions` value
+(``options=``) for the knobs that shape an exploration — limits,
+strategy, retention and execution shape — and asks its questions through
+:func:`repro.api.run_reachability`; ``max_depth`` stays a positional
+parameter and overrides the options' depth.
+
 The bound sweeps are grids of independent points, so both sweep
 functions execute through the runtime's
 :class:`~repro.runtime.scheduler.SweepScheduler`: ``parallel=`` runs
@@ -29,14 +35,17 @@ bit-identical to cold exploration.  The store object is fork-safe, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.dms.system import DMS
 from repro.fol.syntax import Query
-from repro.modelcheck.reachability import query_reachable, query_reachable_bounded
 from repro.modelcheck.result import Verdict
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.semantics import enumerate_b_bounded_successors
 from repro.runtime import SweepScheduler
-from repro.search import RETAIN_COUNTS, RETAIN_PARENTS
+from repro.search import RETAIN_COUNTS
+
+if TYPE_CHECKING:
+    from repro.api.options import ExplorationOptions
 
 __all__ = ["BoundSweepEntry", "reachability_bound_sweep", "state_space_bound_sweep", "convergence_bound"]
 
@@ -68,21 +77,59 @@ def _heuristic_key(heuristic) -> str | None:
     return getattr(heuristic, "__qualname__", repr(heuristic))
 
 
+def _memo_grid(
+    sweep: str,
+    system: DMS,
+    bounds: tuple[int, ...],
+    options: ExplorationOptions,
+    checkpoint,
+    **fields,
+) -> list[dict]:
+    """The sweep's grid: one content-keyed parameter assignment per bound.
+
+    The keys name everything that determines a row except the execution
+    shape, which never changes results.  A checkpoint outlives the
+    system object it was written for, so its keys also carry the
+    system's content hash: variants sharing a name (``drop_action_variant``
+    keeps it) never serve each other's rows.  Without a checkpoint the
+    hash is skipped — no memo reads the keys, and warm sweeps stay cheap.
+    """
+    shared = {
+        "max_depth": options.max_depth,
+        "max_configurations": options.max_configurations,
+        "max_steps": options.max_steps,
+        "strategy": options.strategy,
+        "heuristic": _heuristic_key(options.heuristic),
+        "retention": options.retention,
+    }
+    if checkpoint is not None:
+        from repro.store.canonical import system_hash
+
+        shared["system_hash"] = system_hash(system)
+    return [
+        {"sweep": sweep, "system": system.name, **fields, "b": bound, **shared}
+        for bound in bounds
+    ]
+
+
+def _point_store(store):
+    # Resolve once so forked point workers inherit a fork-safe store
+    # object (per-process connections) instead of re-resolving the
+    # environment per point.
+    from repro.store.service import resolve_store
+
+    resolved = resolve_store(store)
+    return resolved if resolved is not None else False
+
+
 def reachability_bound_sweep(
     system: DMS,
     condition: Query | str,
     bounds: tuple[int, ...] = (0, 1, 2, 3, 4),
     max_depth: int = 6,
     *,
-    strategy: str = "bfs",
-    heuristic=None,
-    retention: str = RETAIN_PARENTS,
-    shards: int = 1,
-    workers: int = 1,
+    options: ExplorationOptions | None = None,
     pool=None,
-    shared_interning: bool | None = None,
-    nodes: int = 1,
-    transport=None,
     store=None,
     parallel: int = 1,
     timeout: float | None = None,
@@ -93,37 +140,33 @@ def reachability_bound_sweep(
 ) -> tuple[BoundSweepEntry, ...]:
     """Reachability verdict and explored state space for increasing bounds.
 
-    ``strategy`` (with its ``heuristic`` for ``"best-first"``) and
-    ``retention`` are passed through to the exploration engine; the
-    default keeps only parent links, so sweeping large bounds does not
-    hold every edge in memory.  ``shards``/``workers`` select the
-    sharded engine for each point of the sweep (bit-identical verdicts;
-    any-shard truncation reports ``UNKNOWN``, never ``FAILS``).
+    Each bound is one :func:`repro.api.run_reachability` query with
+    ``options.replace(max_depth=max_depth)``; the default options keep
+    only parent links, so sweeping large bounds does not hold every edge
+    in memory.  Sharded and distributed shapes give bit-identical rows
+    (any-shard truncation reports ``UNKNOWN``, never ``FAILS``).
 
     ``parallel`` runs the bounds concurrently through the sweep
     scheduler; ``checkpoint``/``resume`` memoise completed bounds.  The
     memo is content-keyed on what determines the result — sweep kind,
-    system, condition, bound, depth, strategy, heuristic (by qualified
-    name) and retention, but not ``shards``/``workers``, which never
-    change results — so a shared checkpoint file cannot serve one
-    query's rows to another.  ``pool`` lends warm expansion workers to
-    sequential sweeps only.  ``on_point`` streams each completed bound.
+    system (name, plus content hash under a checkpoint), condition,
+    bound, limits, strategy, heuristic (by qualified name) and retention,
+    but not the execution shape — so a shared checkpoint file cannot
+    serve one query's rows to another.  ``pool`` lends warm expansion
+    workers to sequential sweeps only.  ``on_point`` streams each
+    completed bound.
     """
-    exploration_pool = pool if parallel <= 1 else None
-    # Resolve once so forked point workers inherit a fork-safe store
-    # object (per-process connections) instead of re-resolving the
-    # environment per point.
-    from repro.store.service import resolve_store
+    from repro.api.options import ExplorationOptions
+    from repro.api.query import run_reachability
 
-    exploration_store = resolve_store(store)
+    effective = (options or ExplorationOptions()).replace(max_depth=max_depth)
+    exploration_pool = pool if parallel <= 1 else None
+    exploration_store = _point_store(store)
 
     def measure(parameters: dict) -> dict:
-        result = query_reachable_bounded(
-            system, condition, parameters["b"], max_depth=max_depth,
-            strategy=strategy, heuristic=heuristic, retention=retention,
-            shards=shards, workers=workers, pool=exploration_pool,
-            shared_interning=shared_interning, nodes=nodes, transport=transport,
-            store=exploration_store if exploration_store is not None else False,
+        result = run_reachability(
+            system, condition, bound=parameters["b"], options=effective,
+            pool=exploration_pool, store=exploration_store,
         )
         return {
             "verdict": result.reachable.value,
@@ -131,23 +174,14 @@ def reachability_bound_sweep(
             "edges": result.edges_explored,
         }
 
+    grid = _memo_grid(
+        "reachability-bound", system, bounds, effective, checkpoint,
+        condition=condition if isinstance(condition, str) else repr(condition),
+    )
     scheduler = SweepScheduler(
         parallel=parallel, timeout=timeout, retries=retries,
         checkpoint=checkpoint, resume=resume,
     )
-    grid = [
-        {
-            "sweep": "reachability-bound",
-            "system": system.name,
-            "condition": condition if isinstance(condition, str) else repr(condition),
-            "b": bound,
-            "max_depth": max_depth,
-            "strategy": strategy,
-            "heuristic": _heuristic_key(heuristic),
-            "retention": retention,
-        }
-        for bound in bounds
-    ]
     records = scheduler.run(grid, measure, on_point=on_point)
     return tuple(
         BoundSweepEntry(
@@ -165,15 +199,8 @@ def state_space_bound_sweep(
     bounds: tuple[int, ...] = (0, 1, 2, 3),
     max_depth: int = 5,
     *,
-    strategy: str = "bfs",
-    heuristic=None,
-    retention: str = RETAIN_COUNTS,
-    shards: int = 1,
-    workers: int = 1,
+    options: ExplorationOptions | None = None,
     pool=None,
-    shared_interning: bool | None = None,
-    nodes: int = 1,
-    transport=None,
     store=None,
     parallel: int = 1,
     timeout: float | None = None,
@@ -184,37 +211,37 @@ def state_space_bound_sweep(
 ) -> tuple[BoundSweepEntry, ...]:
     """How many configurations/edges are explored as the bound grows (no property).
 
-    Only sizes are reported, so the sweep defaults to the engine's
-    ``"counts-only"`` retention: no edge objects are held in memory.
-    ``shards``/``workers`` select the sharded engine per point;
+    Only sizes are reported, so without ``options`` the sweep explores
+    with ``"counts-only"`` retention: no edge objects are held in
+    memory.  Given options are used whole, with ``max_depth`` applied;
     ``parallel``/``checkpoint``/``resume`` schedule the points as in
     :func:`reachability_bound_sweep`, with the memo content-keyed the
     same way.  ``store`` serves repeat points from the content-addressed
     result store (exploration results cached whole).
     """
-    from repro.recency.semantics import enumerate_b_bounded_successors
-    from repro.store.service import cached_compute, resolve_store
+    from repro.api.options import ExplorationOptions
+    from repro.store.service import cached_compute
 
+    effective = (options or ExplorationOptions(retention=RETAIN_COUNTS)).replace(
+        max_depth=max_depth
+    )
     exploration_pool = pool if parallel <= 1 else None
-    exploration_store = resolve_store(store)
+    exploration_store = _point_store(store)
 
     def measure(parameters: dict) -> dict:
         bound = parameters["b"]
-        effective = RecencyExplorationLimits(max_depth=max_depth)
 
-        def compute(successors):
-            explorer = RecencyExplorer(
-                system, bound, effective,
-                strategy=strategy, heuristic=heuristic, retention=retention,
-                shards=shards, workers=workers, pool=exploration_pool,
-                shared_interning=shared_interning, nodes=nodes, transport=transport,
-                successors=successors,
-            )
-            return explorer.explore()
+        def successors(configuration, actions=None):
+            return enumerate_b_bounded_successors(system, configuration, bound, actions)
 
-        single_shard = shards == 1 and workers == 1 and nodes == 1
+        def compute(override):
+            return effective.explorer(
+                system, bound, pool=exploration_pool, successors=override
+            ).explore()
+
+        single_shard = effective.single_shard
         result, _ = cached_compute(
-            store=exploration_store if exploration_store is not None else False,
+            store=exploration_store,
             system=system,
             graph=f"recency:{bound}",
             parameters={
@@ -222,45 +249,24 @@ def state_space_bound_sweep(
                 "max_depth": effective.max_depth,
                 "max_configurations": effective.max_configurations,
                 "max_steps": effective.max_steps,
-                "strategy": strategy,
-                "retention": retention,
+                "strategy": effective.strategy,
+                "retention": effective.retention,
             },
             compute=compute,
-            capture_base=(
-                (lambda configuration: enumerate_b_bounded_successors(
-                    system, configuration, bound
-                ))
-                if single_shard else None
-            ),
-            enumerate_subset=(
-                (lambda configuration, actions: enumerate_b_bounded_successors(
-                    system, configuration, bound, actions
-                ))
-                if single_shard else None
-            ),
-            cacheable=heuristic is None,
+            capture_base=successors if single_shard else None,
+            enumerate_subset=successors if single_shard else None,
+            cacheable=effective.heuristic is None,
         )
         return {
             "configurations": result.configuration_count,
             "edges": result.edge_count,
         }
 
+    grid = _memo_grid("state-space-bound", system, bounds, effective, checkpoint)
     scheduler = SweepScheduler(
         parallel=parallel, timeout=timeout, retries=retries,
         checkpoint=checkpoint, resume=resume,
     )
-    grid = [
-        {
-            "sweep": "state-space-bound",
-            "system": system.name,
-            "b": bound,
-            "max_depth": max_depth,
-            "strategy": strategy,
-            "heuristic": _heuristic_key(heuristic),
-            "retention": retention,
-        }
-        for bound in bounds
-    ]
     records = scheduler.run(grid, measure, on_point=on_point)
     return tuple(
         BoundSweepEntry(
@@ -279,14 +285,8 @@ def convergence_bound(
     max_bound: int = 8,
     max_depth: int = 6,
     *,
-    strategy: str = "bfs",
-    heuristic=None,
-    shards: int = 1,
-    workers: int = 1,
+    options: ExplorationOptions | None = None,
     pool=None,
-    shared_interning: bool | None = None,
-    nodes: int = 1,
-    transport=None,
     store=None,
 ) -> int | None:
     """The least bound at which the bounded reachability verdict matches the
@@ -294,23 +294,19 @@ def convergence_bound(
 
     Returns ``None`` when no bound up to ``max_bound`` agrees — which, for
     exhaustive exploration depths, indicates the behaviour of interest
-    genuinely needs a deeper recency window.  ``shards``/``workers``
-    select the sharded engine for every exploration of the scan,
-    ``pool`` keeps its expansion workers warm across the whole scan,
-    and ``store`` serves the scan's queries from the content-addressed
-    result store.
+    genuinely needs a deeper recency window.  Every query of the scan
+    runs with ``options.replace(max_depth=max_depth)``; ``pool`` keeps
+    sharded expansion workers warm across the whole scan, and ``store``
+    serves the scan's queries from the content-addressed result store.
     """
-    reference = query_reachable(
-        system, condition, max_depth=max_depth, strategy=strategy, heuristic=heuristic,
-        shards=shards, workers=workers, pool=pool, shared_interning=shared_interning,
-        nodes=nodes, transport=transport, store=store,
-    )
+    from repro.api.options import ExplorationOptions
+    from repro.api.query import run_reachability
+
+    effective = (options or ExplorationOptions()).replace(max_depth=max_depth)
+    reference = run_reachability(system, condition, options=effective, pool=pool, store=store)
     for bound in range(max_bound + 1):
-        bounded = query_reachable_bounded(
-            system, condition, bound, max_depth=max_depth, strategy=strategy,
-            heuristic=heuristic, shards=shards, workers=workers, pool=pool,
-            shared_interning=shared_interning, nodes=nodes, transport=transport,
-            store=store,
+        bounded = run_reachability(
+            system, condition, bound=bound, options=effective, pool=pool, store=store
         )
         if bounded.reachable == reference.reachable:
             return bound

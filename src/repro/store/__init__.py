@@ -21,10 +21,10 @@ package stores them that way:
 
 Quick start::
 
-    from repro.modelcheck import proposition_reachable_bounded
+    from repro.api import run_reachability
 
-    first = proposition_reachable_bounded(system, "p", 2, store="run.store")
-    again = proposition_reachable_bounded(system, "p", 2, store="run.store")
+    first = run_reachability(system, "p", bound=2, store="run.store")
+    again = run_reachability(system, "p", bound=2, store="run.store")
     assert again == first      # served in O(lookup), bit-identical
 
 A store hit returns a result bit-identical to the cold exploration —

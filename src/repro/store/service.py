@@ -1,7 +1,7 @@
 """Orchestration of store-backed computations.
 
 :func:`cached_compute` is the one code path every store-aware entry
-point (the four :mod:`repro.modelcheck.reachability` queries, the
+point (:func:`repro.api.run_reachability`, the
 :mod:`repro.modelcheck.convergence` sweeps, the explorer-level caching
 used by benches and tests) funnels through:
 

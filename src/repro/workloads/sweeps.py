@@ -4,8 +4,8 @@ Each sweep returns a tuple of dictionaries (rows) so that the harness and
 ``pytest-benchmark`` targets can print them uniformly.
 
 Sweeps execute through the runtime's
-:class:`~repro.runtime.scheduler.SweepScheduler`: every sweep function
-accepts ``parallel=`` (bounded concurrent points on forked workers),
+:class:`~repro.runtime.scheduler.SweepScheduler`: :func:`sweep` accepts
+``parallel=`` (bounded concurrent points on forked workers),
 ``checkpoint=``/``resume=`` (JSONL memo of completed points, resumable
 after interruption), per-point ``timeout=``/``retries=``, and
 ``on_point=`` (a streaming callback fired as each point completes).  The
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 from repro.runtime import SweepScheduler
 from repro.workloads.generators import RandomDMSParameters, random_dms
 
-__all__ = ["SweepPoint", "sweep", "dms_family", "exploration_mode_sweep", "shard_scaling_sweep"]
+__all__ = ["SweepPoint", "sweep", "dms_family", "exploration_mode_sweep"]
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,6 @@ def exploration_mode_sweep(
     heuristic: Callable | None = None,
     *,
     parallel: int = 1,
-    timeout: float | None = None,
-    retries: int = 0,
-    checkpoint=None,
-    resume: bool = False,
-    on_point: Callable | None = None,
 ) -> tuple[SweepPoint, ...]:
     """Explore one system under every (strategy, retention) combination.
 
@@ -94,9 +89,8 @@ def exploration_mode_sweep(
     :func:`repro.harness.experiments.experiment_e13_engine` (and the E13
     benchmark), which checks that on un-truncated explorations every
     strategy discovers the same configuration set and that the memory
-    modes shrink edge retention as documented.  ``parallel``/
-    ``checkpoint``/``resume``/``on_point`` schedule the grid points as
-    in :func:`sweep`.
+    modes shrink edge retention as documented.  ``parallel`` runs the
+    grid points concurrently as in :func:`sweep`.
     """
     from repro.errors import SearchError
     from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
@@ -131,81 +125,7 @@ def exploration_mode_sweep(
         for strategy in strategies
         for retention in retentions
     ]
-    return sweep(
-        grid, measure, parallel=parallel, timeout=timeout, retries=retries,
-        checkpoint=checkpoint, resume=resume, on_point=on_point,
-    )
-
-
-def shard_scaling_sweep(
-    system,
-    bound: int,
-    configurations: Sequence[tuple[int, int]] = ((1, 1), (2, 1), (4, 1), (4, 2), (4, 4)),
-    max_depth: int = 5,
-    retention: str = "counts-only",
-    *,
-    pool=None,
-    shared_interning: bool | None = None,
-    nodes: int = 1,
-    transport=None,
-    parallel: int = 1,
-    timeout: float | None = None,
-    retries: int = 0,
-    checkpoint=None,
-    resume: bool = False,
-    on_point: Callable | None = None,
-) -> tuple[SweepPoint, ...]:
-    """Explore one system under a grid of ``(shards, workers)`` pairs.
-
-    ``(1, 1)`` is the plain single-shard engine; every other point runs
-    the sharded engine (:mod:`repro.search.sharded`).  Measures
-    discovered configurations/edges, the expansion backend used and
-    wall-clock seconds, so callers (the E14 benchmark, the determinism
-    tests) can check that every point discovers the same fragment and
-    compare scaling.  ``pool`` keeps expansion workers warm across the
-    points of a *sequential* sweep; ``parallel``/``checkpoint``/
-    ``resume`` schedule the points as in :func:`sweep` (timings then
-    overlap — keep ``parallel=1`` when comparing per-point seconds).
-    ``nodes``/``transport`` run every non-baseline point two-level
-    distributed (:mod:`repro.distributed`), with ``(shards, workers)``
-    as each node's local configuration — counts stay identical, the
-    intern tables move onto the node agents.
-    """
-    from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
-
-    exploration_pool = pool if parallel <= 1 else None
-
-    def measure(parameters: dict) -> dict:
-        point_nodes = nodes if (parameters["shards"], parameters["workers"]) != (1, 1) else 1
-        explorer = RecencyExplorer(
-            system,
-            bound,
-            RecencyExplorationLimits(max_depth=max_depth),
-            retention=retention,
-            shards=parameters["shards"],
-            workers=parameters["workers"],
-            pool=exploration_pool,
-            shared_interning=shared_interning,
-            nodes=point_nodes,
-            transport=transport,
-        )
-        backend = explorer.backend_name
-        started = time.perf_counter()
-        result = explorer.explore()
-        elapsed = time.perf_counter() - started
-        return {
-            "backend": backend,
-            "configurations": result.configuration_count,
-            "edges": result.edge_count,
-            "truncated": result.truncated,
-            "seconds": round(elapsed, 4),
-        }
-
-    grid = [{"shards": shards, "workers": workers} for shards, workers in configurations]
-    return sweep(
-        grid, measure, parallel=parallel, timeout=timeout, retries=retries,
-        checkpoint=checkpoint, resume=resume, on_point=on_point,
-    )
+    return sweep(grid, measure, parallel=parallel)
 
 
 def dms_family(

@@ -3,11 +3,12 @@
 Covers the facade's three contracts:
 
 * **One surface, same verdicts** — :func:`repro.api.run_reachability`
-  and the legacy ``modelcheck.reachability`` entry points (now shims
-  over it) return bit-identical results for every combination of
-  bounded/unbounded semantics and proposition/query conditions;
-* **Options** — :class:`ExplorationOptions` round-trips the legacy
-  limits objects and its execution-shape knobs never change verdicts;
+  and a warm session's inline path return bit-identical results for
+  every combination of bounded/unbounded semantics and
+  proposition/query conditions, and the facade's bounded answer
+  matches a search run straight on the recency explorer;
+* **Options** — :class:`ExplorationOptions` round-trips exploration
+  limits and its execution-shape knobs never change verdicts;
 * **Sessions** — a warm :class:`Session` serves inline and isolated
   queries with identical verdicts, enforces isolated timeouts by
   killing the worker while staying healthy, and serves ≥8 concurrent
@@ -24,14 +25,10 @@ from repro.api import ExplorationOptions, Session, run_reachability
 from repro.casestudies.booking import booking_agency_system
 from repro.casestudies.warehouse import warehouse_system
 from repro.errors import ModelCheckingError, QueryTimeoutError, SessionError
+from repro.fol.evaluator import evaluate_sentence
 from repro.fol.parser import parse_query
-from repro.modelcheck.reachability import (
-    proposition_reachable,
-    proposition_reachable_bounded,
-    query_reachable,
-    query_reachable_bounded,
-)
-from repro.recency.explorer import RecencyExplorationLimits
+from repro.modelcheck.result import Verdict
+from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 from repro.search import process_backend_available
 
 needs_fork = pytest.mark.skipif(
@@ -63,40 +60,27 @@ def summary(result):
     )
 
 
-# -- facade vs legacy entry points ---------------------------------------------
-
-
-def test_facade_matches_query_reachable(booking):
-    condition = parse_query(SUBMITTED)
-    legacy = query_reachable(booking, condition, max_depth=4, store=False)
-    facade = run_reachability(
-        booking, condition, options=ExplorationOptions(max_depth=4), store=False
-    )
-    assert summary(facade) == summary(legacy)
+# -- facade ----------------------------------------------------------------------
 
 
 def test_facade_matches_query_reachable_bounded(booking):
+    # Query reachability in the b = 2 semantics, searched for straight on
+    # the recency explorer: the facade reports the same counts, and turns
+    # a search cut at the depth limit into UNKNOWN, never FAILS.
     condition = parse_query(SUBMITTED)
-    legacy = query_reachable_bounded(booking, condition, bound=2, max_depth=4, store=False)
+    explorer = RecencyExplorer(booking, 2, RecencyExplorationLimits(max_depth=4))
+    witness, stats = explorer.find_configuration(
+        lambda configuration: evaluate_sentence(condition, configuration.instance)
+    )
     facade = run_reachability(
         booking, condition, bound=2, options=ExplorationOptions(max_depth=4), store=False
     )
-    assert summary(facade) == summary(legacy)
-
-
-def test_facade_matches_proposition_entry_points(booking):
-    for bound in (None, 1):
-        legacy = (
-            proposition_reachable(booking, "open", max_depth=2, store=False)
-            if bound is None
-            else proposition_reachable_bounded(
-                booking, "open", bound=bound, max_depth=2, store=False
-            )
-        )
-        facade = run_reachability(
-            booking, "open", bound=bound, options=ExplorationOptions(max_depth=2), store=False
-        )
-        assert summary(facade) == summary(legacy)
+    assert witness is None and stats.depth_reached == 4
+    assert facade.reachable is Verdict.UNKNOWN
+    assert facade.witness is None
+    assert facade.configurations_explored == stats.configuration_count
+    assert facade.edges_explored == stats.edge_count
+    assert (facade.bound, facade.depth) == (2, 4)
 
 
 def test_on_state_streams_discovery_order(booking):
@@ -120,11 +104,18 @@ def test_on_state_streams_discovery_order(booking):
 
 
 def test_options_from_limits_round_trips():
-    graph = RecencyExplorationLimits(max_depth=3, max_configurations=10, max_steps=20)
-    recency = RecencyExplorationLimits(max_depth=5, max_configurations=7, max_steps=9)
-    assert ExplorationOptions.from_limits(graph).recency_limits() == graph
-    assert ExplorationOptions.from_limits(recency).recency_limits() == recency
-    assert ExplorationOptions.from_limits(None, max_depth=8).max_depth == 8
+    # Options built from a limits object's fields give those limits back.
+    for limits in (
+        RecencyExplorationLimits(max_depth=3, max_configurations=10, max_steps=20),
+        RecencyExplorationLimits(max_depth=5, max_configurations=7, max_steps=9),
+    ):
+        options = ExplorationOptions(
+            max_depth=limits.max_depth,
+            max_configurations=limits.max_configurations,
+            max_steps=limits.max_steps,
+        )
+        assert options.recency_limits() == limits
+    assert ExplorationOptions().recency_limits() == RecencyExplorationLimits()
 
 
 def test_options_replace_and_single_shard():
@@ -173,6 +164,27 @@ def test_session_inline_matches_facade(booking, session):
     inline = session.run_reachability(
         booking, condition, bound=2, options=ExplorationOptions(max_depth=4)
     )
+    assert summary(inline) == summary(direct)
+
+
+# The query at b = 2 is the case above; these are the rest of the
+# bound x condition matrix.
+@pytest.mark.parametrize(
+    ("condition", "bound", "depth"),
+    [
+        pytest.param(parse_query(SUBMITTED), None, 4, id="query-unbounded"),
+        pytest.param(parse_query(SUBMITTED), 1, 4, id="query-b1"),
+        pytest.param("open", None, 2, id="proposition-unbounded"),
+        pytest.param("open", 1, 2, id="proposition-b1"),
+        pytest.param("open", 2, 2, id="proposition-b2"),
+    ],
+)
+def test_session_inline_matches_facade_across_semantics(
+    booking, session, condition, bound, depth
+):
+    options = ExplorationOptions(max_depth=depth)
+    direct = run_reachability(booking, condition, bound=bound, options=options, store=False)
+    inline = session.run_reachability(booking, condition, bound=bound, options=options)
     assert summary(inline) == summary(direct)
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.counter.machine import CounterMachine, control_state_reachable
 from repro.counter.reductions import binary_encoding, state_proposition, unary_encoding
 from repro.errors import CounterMachineError
 from repro.fol.normalize import is_union_of_conjunctive_queries
-from repro.modelcheck.reachability import proposition_reachable_bounded
 
 
 @pytest.fixture
@@ -77,16 +77,16 @@ def test_binary_encoding_structure_and_ucq_guards(simple_machine):
 
 def test_unary_encoding_reachability_agrees(simple_machine):
     system = unary_encoding(simple_machine)
-    result = proposition_reachable_bounded(
-        system, state_proposition("qf"), bound=2, max_depth=6
+    result = run_reachability(
+        system, state_proposition("qf"), bound=2, options=ExplorationOptions(max_depth=6)
     )
     assert result.found == control_state_reachable(simple_machine, "qf")
 
 
 def test_binary_encoding_reachability_agrees(simple_machine):
     system = binary_encoding(simple_machine)
-    result = proposition_reachable_bounded(
-        system, state_proposition("qf"), bound=2, max_depth=8
+    result = run_reachability(
+        system, state_proposition("qf"), bound=2, options=ExplorationOptions(max_depth=8)
     )
     assert result.found == control_state_reachable(simple_machine, "qf")
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.booking import booking_agency_system
 from repro.distributed import (
     Channel,
@@ -35,7 +36,6 @@ from repro.distributed import (
     RecencyContext,
 )
 from repro.errors import DistributedError, SearchError
-from repro.modelcheck import query_reachable_bounded
 from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors, initial_recency_configuration
 from repro.search import (
@@ -296,8 +296,9 @@ def test_booking_reachability_verdict_and_witness_across_nodes():
     from repro.fol.parser import parse_query
 
     condition = parse_query("exists o. OAvail(o)")
-    serial = query_reachable_bounded(booking, condition, 2, max_depth=4)
-    distributed = query_reachable_bounded(booking, condition, 2, max_depth=4, nodes=2)
+    options = ExplorationOptions(max_depth=4)
+    serial = run_reachability(booking, condition, bound=2, options=options)
+    distributed = run_reachability(booking, condition, bound=2, options=options.replace(nodes=2))
     assert distributed.reachable == serial.reachable
     assert distributed.witness.steps == serial.witness.steps
     assert distributed.configurations_explored == serial.configurations_explored

@@ -167,8 +167,12 @@ def test_oracle_flags_an_injected_semantic_divergence():
     broken = dataclasses.replace(instance, condition=FalseQuery())
     # engine side sees `false` (unreachable), encoding side the original
     # condition: compute both manually through the module internals.
-    engine_false = oracle_module.query_reachable_bounded(
-        broken.system, broken.condition, broken.bound, max_depth=broken.depth, store=False
+    engine_false = oracle_module.run_reachability(
+        broken.system,
+        broken.condition,
+        bound=broken.bound,
+        options=oracle_module.ExplorationOptions(max_depth=broken.depth),
+        store=False,
     )
     encoding, _, limited, _ = oracle_module.encoding_reachability(instance)
     parity = oracle_module._reachability_parity(

@@ -7,13 +7,13 @@ the bounded semantics, abstract, encode, validate, translate and check.
 
 import pytest
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.dms.builder import DMSBuilder
 from repro.encoding.analyzer import EncodingAnalyzer
 from repro.encoding.encoder import encode_run
 from repro.encoding.translate import evaluate_specification_via_encoding
 from repro.fol.parser import parse_query
 from repro.modelcheck.checker import RecencyBoundedModelChecker
-from repro.modelcheck.reachability import query_reachable_bounded
 from repro.modelcheck.result import Verdict
 from repro.msofo.patterns import response_formula, safety_formula
 from repro.msofo.semantics import holds_on_run
@@ -69,8 +69,11 @@ def test_full_pipeline_on_order_system(order_system):
 def test_model_checking_agrees_with_reachability(order_system):
     """'¬∃o.Archived(o)' fails exactly when an archived order is reachable."""
     bound, depth = 2, 4
-    reach = query_reachable_bounded(
-        order_system, parse_query("exists o. Archived(o)"), bound=bound, max_depth=depth
+    reach = run_reachability(
+        order_system,
+        parse_query("exists o. Archived(o)"),
+        bound=bound,
+        options=ExplorationOptions(max_depth=depth),
     )
     checker = RecencyBoundedModelChecker(order_system, bound=bound, depth=depth)
     never_archived = checker.check(safety_formula(parse_query("exists o. Archived(o)")))
@@ -98,8 +101,11 @@ def test_response_property_over_bounded_runs(order_system):
 def test_transformed_systems_stay_checkable(order_system):
     """The Appendix F.2/F.3 transformations produce systems the checker still handles."""
     for transformed in (standard_substitution(order_system), weaken_freshness(order_system)):
-        result = query_reachable_bounded(
-            transformed, parse_query("exists o. Archived(o)"), bound=2, max_depth=4
+        result = run_reachability(
+            transformed,
+            parse_query("exists o. Archived(o)"),
+            bound=2,
+            options=ExplorationOptions(max_depth=4),
         )
         assert result.found
 

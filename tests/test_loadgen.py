@@ -37,8 +37,7 @@ from repro.loadgen import (
     run_closed_loop,
     run_open_loop,
     trace_lines,
-    vocabulary_case_studies,
-    vocabulary_templates,
+    vocabulary,
     write_trace,
 )
 from repro.loadgen.cli import main as loadgen_main
@@ -229,15 +228,20 @@ def test_trace_round_trip(tmp_path):
 
 
 def test_vocabulary_includes_corpus_entries():
-    templates = vocabulary_templates(tier="smoke", limit=3, include_corpus=True)
+    templates, registry = vocabulary(True, tier="smoke", limit=3)
     corpus = [template for template in templates if template.source == "corpus"]
     assert len(corpus) == 3
     assert len(templates) == len(builtin_templates()) + 3
-    registry = vocabulary_case_studies(tier="smoke", limit=3, include_corpus=True)
+    assert [template.case_study for template in corpus] == sorted(
+        template.case_study for template in corpus
+    )
     for template in corpus:
         assert template.case_study in registry
         system = registry[template.case_study]()
         assert system is registry[template.case_study]()  # cached object
+    plain_templates, plain_registry = vocabulary()
+    assert plain_templates == builtin_templates()
+    assert set(registry) - set(plain_registry) == {template.case_study for template in corpus}
 
 
 # -- replay end to end ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.students import students_progression_property, students_system
 from repro.errors import ModelCheckingError
 from repro.fol.parser import parse_query
@@ -10,12 +11,6 @@ from repro.modelcheck.convergence import (
     convergence_bound,
     reachability_bound_sweep,
     state_space_bound_sweep,
-)
-from repro.modelcheck.reachability import (
-    proposition_reachable,
-    proposition_reachable_bounded,
-    query_reachable,
-    query_reachable_bounded,
 )
 from repro.modelcheck.result import Verdict
 from repro.msofo.foltl import Eventually, StateQuery
@@ -37,7 +32,7 @@ def flag_system():
 
 
 def test_proposition_reachable(flag_system):
-    result = proposition_reachable(flag_system, "goal", max_depth=4)
+    result = run_reachability(flag_system, "goal", options=ExplorationOptions(max_depth=4))
     assert result.found
     assert result.reachable is Verdict.HOLDS
     assert len(result.witness.steps) == 2
@@ -49,31 +44,36 @@ def test_proposition_unreachable_exhaustive(flag_system):
     builder.initially("a")
     builder.action("noop", guard="a", delete=[("a",)])
     system = builder.build()
-    result = proposition_reachable(system, "b", max_depth=5)
+    result = run_reachability(system, "b", options=ExplorationOptions(max_depth=5))
     assert result.reachable is Verdict.FAILS
     assert result.witness is None
 
 
 def test_reachability_unknown_when_truncated(example31):
     # "p gets re-established after being consumed" requires depth ≥ 3; with depth 1 it is unknown.
-    result = proposition_reachable(example31, "p", max_depth=0)
+    result = run_reachability(example31, "p", options=ExplorationOptions(max_depth=0))
     assert result.reachable in (Verdict.HOLDS, Verdict.UNKNOWN)
 
 
 def test_query_reachable_with_formula(flag_system):
-    result = query_reachable(flag_system, parse_query("exists u. item(u)"), max_depth=3)
+    result = run_reachability(
+        flag_system, parse_query("exists u. item(u)"), options=ExplorationOptions(max_depth=3)
+    )
     assert result.found
     with pytest.raises(ModelCheckingError):
-        query_reachable(flag_system, parse_query("item(u)"), max_depth=2)
+        run_reachability(
+            flag_system, parse_query("item(u)"), options=ExplorationOptions(max_depth=2)
+        )
 
 
 def test_bounded_reachability_needs_large_enough_bound(flag_system):
-    assert query_reachable_bounded(flag_system, "goal", bound=1, max_depth=4).found
-    assert not query_reachable_bounded(flag_system, "goal", bound=0, max_depth=4).found
+    options = ExplorationOptions(max_depth=4)
+    assert run_reachability(flag_system, "goal", bound=1, options=options).found
+    assert not run_reachability(flag_system, "goal", bound=0, options=options).found
 
 
 def test_bounded_vs_unbounded_on_example31(example31):
-    bounded = proposition_reachable_bounded(example31, "p", bound=2, max_depth=4)
+    bounded = run_reachability(example31, "p", bound=2, options=ExplorationOptions(max_depth=4))
     assert bounded.found
     sweep = reachability_bound_sweep(example31, "p", bounds=(0, 1, 2), max_depth=4)
     assert [entry.bound for entry in sweep] == [0, 1, 2]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.simple import example_31_system
 from repro.casestudies.warehouse import warehouse_system
 from repro.database.instance import DatabaseInstance, Fact
@@ -22,7 +23,6 @@ from repro.recency.abstraction import abstract_run
 from repro.recency.canonical import is_canonical_run, runs_equivalent_modulo_permutation
 from repro.recency.concretize import concretize_word
 from repro.fuzz import FuzzShape, generate_instance
-from repro.modelcheck.reachability import query_reachable_bounded
 from repro.modelcheck.result import Verdict
 from repro.recency.explorer import (
     RecencyExplorationLimits,
@@ -244,13 +244,13 @@ def test_interning_is_bijective_on_explored_configurations(seed, shape):
 def test_truncation_verdicts_are_monotone_in_depth(seed, shape):
     """Definite verdicts survive a deeper exploration; only UNKNOWN may move."""
     instance = generate_instance(seed, "smoke", shape=shape)
-    shallow = query_reachable_bounded(
-        instance.system, instance.condition, instance.bound,
-        max_depth=instance.depth, store=False,
+    shallow = run_reachability(
+        instance.system, instance.condition, bound=instance.bound,
+        options=ExplorationOptions(max_depth=instance.depth), store=False,
     )
-    deep = query_reachable_bounded(
-        instance.system, instance.condition, instance.bound,
-        max_depth=instance.depth + 1, store=False,
+    deep = run_reachability(
+        instance.system, instance.condition, bound=instance.bound,
+        options=ExplorationOptions(max_depth=instance.depth + 1), store=False,
     )
     if shallow.reachable is Verdict.HOLDS:
         assert deep.reachable is Verdict.HOLDS
@@ -263,9 +263,9 @@ def test_truncation_verdicts_are_monotone_in_depth(seed, shape):
 def test_reachability_witnesses_replay_through_the_semantics(seed, shape):
     """A witness run must be replayable step by step and end satisfying the condition."""
     instance = generate_instance(seed, "smoke", shape=shape)
-    result = query_reachable_bounded(
-        instance.system, instance.condition, instance.bound,
-        max_depth=instance.depth, store=False,
+    result = run_reachability(
+        instance.system, instance.condition, bound=instance.bound,
+        options=ExplorationOptions(max_depth=instance.depth), store=False,
     )
     if result.reachable is not Verdict.HOLDS:
         return

@@ -257,7 +257,9 @@ def test_auto_keyed_backend_releases_context_on_engine_close():
 def test_convergence_checkpoint_keys_distinguish_queries(tmp_path):
     from repro.dms.builder import DMSBuilder
     from repro.fol.parser import parse_query
+    from repro.modelcheck import Verdict
     from repro.modelcheck.convergence import reachability_bound_sweep
+    from repro.workloads import drop_action_variant
 
     builder = DMSBuilder("memo-keys")
     builder.relations(("R", 1), ("Q", 1), ("p", 0))
@@ -284,6 +286,20 @@ def test_convergence_checkpoint_keys_distinguish_queries(tmp_path):
     )
     assert again == first
     assert second != first  # different condition, genuinely different rows
+    # Same file, same name and condition, different system: dropping
+    # `promote` keeps the name but makes Q unreachable, so the memo must
+    # not serve the original system's rows.
+    variant = drop_action_variant(system, "promote")
+    resumed = reachability_bound_sweep(
+        variant, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3,
+        checkpoint=checkpoint, resume=True,
+    )
+    fresh = reachability_bound_sweep(
+        variant, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3,
+    )
+    assert resumed == fresh
+    assert [entry.verdict for entry in fresh] == [Verdict.UNKNOWN, Verdict.UNKNOWN]
+    assert [entry.verdict for entry in first] == [Verdict.HOLDS, Verdict.HOLDS]
 
 
 @needs_fork

@@ -334,16 +334,21 @@ def test_convergence_json(client):
         "bounds": [0, 1, 2],
         "max_depth": 4,
     }
-    reply = client.post("/v1/convergence", json_body=payload)
-    assert reply.status == 200
-    body = reply.json()
-    assert [row["bound"] for row in body["rows"]] == [0, 1, 2]
-    assert body["reference_verdict"] in {"holds", "fails", "unknown"}
-    converged = body["converged_bound"]
-    assert converged is None or any(
-        row["bound"] == converged and row["verdict"] == body["reference_verdict"]
-        for row in body["rows"]
-    )
+    # The second payload caps the exploration: every row must honour
+    # the cap exactly as the reference query does.
+    for body_in, cap in ((payload, None), ({**payload, "max_configurations": 5}, 5)):
+        reply = client.post("/v1/convergence", json_body=body_in)
+        assert reply.status == 200
+        body = reply.json()
+        assert [row["bound"] for row in body["rows"]] == [0, 1, 2]
+        assert body["reference_verdict"] in {"holds", "fails", "unknown"}
+        converged = body["converged_bound"]
+        assert converged is None or any(
+            row["bound"] == converged and row["verdict"] == body["reference_verdict"]
+            for row in body["rows"]
+        )
+        if cap is not None:
+            assert all(row["configurations"] <= cap for row in body["rows"])
 
 
 def test_convergence_stream_emits_one_progress_per_bound(client):

@@ -22,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.booking import booking_agency_system
 from repro.dms.builder import DMSBuilder
 from repro.errors import SearchError
-from repro.modelcheck import Verdict, proposition_reachable_bounded, query_reachable_bounded
+from repro.modelcheck import Verdict
 from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 from repro.recency.semantics import (
     enumerate_b_bounded_successors,
@@ -342,20 +343,21 @@ def test_partial_results_refuse_cross_shard_witnesses():
 @pytest.mark.parametrize("shards", [k for k in SHARD_COUNTS if k > 1])
 def test_sharded_reachability_verdicts_match(shards):
     system = tiny_system()
-    reference = proposition_reachable_bounded(system, "p", bound=2, max_depth=3)
-    sharded = proposition_reachable_bounded(system, "p", bound=2, max_depth=3, shards=shards)
+    options = ExplorationOptions(max_depth=3)
+    reference = run_reachability(system, "p", bound=2, options=options)
+    sharded = run_reachability(system, "p", bound=2, options=options.replace(shards=shards))
     assert sharded.reachable == reference.reachable == Verdict.HOLDS
     assert sharded.configurations_explored == reference.configurations_explored
 
 
 def test_sharded_truncation_reports_unknown_never_fails():
     system = booking_agency_system()
-    limits = RecencyExplorationLimits(max_depth=5, max_configurations=40)
+    options = ExplorationOptions(max_depth=5, max_configurations=40)
     from repro.fol.parser import parse_query
 
     condition = parse_query("exists x. BFinalized(x)")
-    reference = query_reachable_bounded(system, condition, bound=2, limits=limits)
-    sharded = query_reachable_bounded(system, condition, bound=2, limits=limits, shards=4)
+    reference = run_reachability(system, condition, bound=2, options=options)
+    sharded = run_reachability(system, condition, bound=2, options=options.replace(shards=4))
     assert reference.reachable is Verdict.UNKNOWN
     assert sharded.reachable is Verdict.UNKNOWN
 

@@ -34,8 +34,7 @@ from repro.dms.configuration import Configuration
 from repro.dms.run import ExtendedRun
 from repro.errors import StoreError
 from repro.fol.parser import parse_query
-from repro.modelcheck.convergence import state_space_bound_sweep
-from repro.modelcheck.reachability import query_reachable, query_reachable_bounded
+from repro.modelcheck.convergence import reachability_bound_sweep, state_space_bound_sweep
 from repro.modelcheck.result import Verdict
 from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors
@@ -70,6 +69,8 @@ def cycle_system():
 
 
 GOAL = parse_query("goal")
+DEPTH_3 = ExplorationOptions(max_depth=3)
+DEPTH_4 = ExplorationOptions(max_depth=4)
 
 
 # -- exact hits ----------------------------------------------------------------
@@ -78,21 +79,14 @@ GOAL = parse_query("goal")
 def test_repeat_queries_are_bit_identical_across_retentions(cycle_system, tmp_path):
     for retention in (RETAIN_FULL, RETAIN_PARENTS, RETAIN_COUNTS):
         store = ResultStore(tmp_path / retention)
-        cold = query_reachable(
-            cycle_system, GOAL, max_depth=4, retention=retention, store=store
-        )
-        warm = query_reachable(
-            cycle_system, GOAL, max_depth=4, retention=retention, store=store
-        )
+        options = ExplorationOptions(max_depth=4, retention=retention)
+        cold = run_reachability(cycle_system, GOAL, options=options, store=store)
+        warm = run_reachability(cycle_system, GOAL, options=options, store=store)
         assert warm == cold  # dataclass equality: verdict, witness, counts, depth
         assert warm.reachable is Verdict.HOLDS
         assert warm.witness == cold.witness
-        bounded_cold = query_reachable_bounded(
-            cycle_system, GOAL, bound=2, max_depth=4, retention=retention, store=store
-        )
-        bounded_warm = query_reachable_bounded(
-            cycle_system, GOAL, bound=2, max_depth=4, retention=retention, store=store
-        )
+        bounded_cold = run_reachability(cycle_system, GOAL, bound=2, options=options, store=store)
+        bounded_warm = run_reachability(cycle_system, GOAL, bound=2, options=options, store=store)
         assert bounded_warm == bounded_cold
         assert store.stats()["hits"] >= 2  # both repeats were served
 
@@ -128,6 +122,29 @@ def test_unbounded_store_keys_and_witness_are_pinned(tmp_path):
     ]
 
 
+def test_sweep_store_keys_are_pinned(tmp_path):
+    """Sweep points keep their store keys: the state-space sweep explores
+    counts-only by default and the reachability sweep parents-only, so a
+    sweep falling back to another retention would write other keys."""
+    booking = booking_agency_system()
+    store = ResultStore(tmp_path / "space")
+    rows = state_space_bound_sweep(booking, (1,), 3, store=store)
+    assert [entry.as_row() for entry in rows] == [(1, "unknown", 40, 39)]
+    assert sorted(store.keys()) == [
+        "20062f59746e87e319aaa2a6c35cecb4e24ff7ced5f26133a6743689e1d296bb",
+        "c3705df620539c89f6ba6c8115564a7d09f2c7ca690bf6dc448fa04bdf4c9e6a",
+    ]
+    store = ResultStore(tmp_path / "reach")
+    rows = reachability_bound_sweep(
+        booking, parse_query("Exists x. BDrafting(x)"), (2,), 4, store=store
+    )
+    assert [entry.as_row() for entry in rows] == [(2, "unknown", 137, 136)]
+    assert sorted(store.keys()) == [
+        "67bee6469728e19a8890a53ade2344b941526f883ce538d59da33732ca5ce7f7",
+        "857a7e4d7f5bb926140673d26f861ed5ab95bc8bf9609f95a3997b9f74263d10",
+    ]
+
+
 def test_exploration_results_hit_with_full_fragment_equality(cycle_system, tmp_path):
     store = ResultStore(tmp_path / "store")
     cold = state_space_bound_sweep(cycle_system, bounds=(0, 1, 2), max_depth=3, store=store)
@@ -142,9 +159,9 @@ def test_exploration_results_hit_with_full_fragment_equality(cycle_system, tmp_p
 
 def test_different_queries_never_share_a_key(cycle_system, tmp_path):
     store = ResultStore(tmp_path / "store")
-    query_reachable(cycle_system, GOAL, max_depth=4, store=store)
-    query_reachable(cycle_system, GOAL, max_depth=3, store=store)  # different limits
-    query_reachable(cycle_system, parse_query("mid"), max_depth=4, store=store)
+    run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store)
+    run_reachability(cycle_system, GOAL, options=DEPTH_3, store=store)  # different limits
+    run_reachability(cycle_system, parse_query("mid"), options=DEPTH_4, store=store)
     # Three distinct keys, no collision: each query saved its own result
     # row (subgraph probing may register hits; result rows must not).
     assert store.stats()["results"] == 3
@@ -155,22 +172,22 @@ def test_different_queries_never_share_a_key(cycle_system, tmp_path):
 
 def test_corrupt_blob_is_recomputed_and_repaired(cycle_system, tmp_path):
     store = ResultStore(tmp_path / "store")
-    cold = query_reachable(cycle_system, GOAL, max_depth=4, store=store)
+    cold = run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store)
     blobs = sorted(store.blob_directory.glob("*.pkl"))
     assert blobs
     for blob in blobs:
         blob.write_bytes(b"not a pickle")
-    repaired = query_reachable(cycle_system, GOAL, max_depth=4, store=store)
+    repaired = run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store)
     assert repaired == cold  # recomputed, not served from garbage
     # ... and re-saved: the next lookup is a genuine hit again.
     hits_before = store.stats()["hits"]
-    assert query_reachable(cycle_system, GOAL, max_depth=4, store=store) == cold
+    assert run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store) == cold
     assert store.stats()["hits"] == hits_before + 1
 
 
 def test_stale_index_row_with_missing_blob_is_a_pruned_miss(cycle_system, tmp_path):
     store = ResultStore(tmp_path / "store")
-    query_reachable(cycle_system, GOAL, max_depth=4, store=store)
+    run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store)
     keys = store.keys()
     assert keys
     for blob in store.blob_directory.glob("*.pkl"):
@@ -248,8 +265,8 @@ def test_schema_change_invalidates_only_that_family(cycle_system, tmp_path):
     other_builder.action("emit", fresh=("v",), guard="go", add=[("token", "v")])
     other = other_builder.build()
 
-    query_reachable(cycle_system, GOAL, max_depth=3, store=store)
-    query_reachable(other, parse_query("exists u. token(u)"), max_depth=3, store=store)
+    run_reachability(cycle_system, GOAL, options=DEPTH_3, store=store)
+    run_reachability(other, parse_query("exists u. token(u)"), options=DEPTH_3, store=store)
     before = store.stats()["entries"]
     assert before >= 2
 
@@ -263,15 +280,15 @@ def test_schema_change_invalidates_only_that_family(cycle_system, tmp_path):
     )
     redefined = wider.build()
     assert schema_hash(redefined.schema) != schema_hash(cycle_system.schema)
-    query_reachable(redefined, parse_query("mid"), max_depth=3, store=store)
+    run_reachability(redefined, parse_query("mid"), options=DEPTH_3, store=store)
 
     # The original cycle query now misses (its entry was pruned) ...
     hits = store.stats()["hits"]
-    query_reachable(cycle_system, GOAL, max_depth=3, store=store)
+    run_reachability(cycle_system, GOAL, options=DEPTH_3, store=store)
     assert store.stats()["hits"] == hits
     # ... while `other`, an untouched family, still hits.
     hits = store.stats()["hits"]
-    query_reachable(other, parse_query("exists u. token(u)"), max_depth=3, store=store)
+    run_reachability(other, parse_query("exists u. token(u)"), options=DEPTH_3, store=store)
     assert store.stats()["hits"] == hits + 1
 
 
@@ -338,9 +355,12 @@ def test_delta_base_survives_a_corrupt_subgraph(cycle_system, tmp_path):
 
 def test_heuristic_queries_bypass_the_store(cycle_system, tmp_path):
     store = ResultStore(tmp_path / "store")
-    result = query_reachable(
-        cycle_system, GOAL, max_depth=4,
-        strategy="best-first", heuristic=lambda configuration, depth: depth,
+    result = run_reachability(
+        cycle_system,
+        GOAL,
+        options=ExplorationOptions(
+            max_depth=4, strategy="best-first", heuristic=lambda configuration, depth: depth
+        ),
         store=store,
     )
     assert result.reachable is Verdict.HOLDS

@@ -1,6 +1,6 @@
 """Regression tests: truncated explorations must never report ``FAILS``.
 
-``query_reachable``/``query_reachable_bounded`` are three-valued: a
+:func:`repro.api.run_reachability` is three-valued, bounded or not: a
 condition that was not reached is ``FAILS`` only when the explored
 fragment was *complete*.  Whenever the explorer truncated on
 ``max_configurations`` or ``max_steps`` — including the off-by-one case
@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExplorationOptions, run_reachability
 from repro.dms.builder import DMSBuilder
-from repro.modelcheck.reachability import query_reachable, query_reachable_bounded
 from repro.modelcheck.result import Verdict
-from repro.recency.explorer import RecencyExplorationLimits
 
 
 @pytest.fixture(scope="module")
@@ -39,28 +38,21 @@ TOTAL_EDGES = 2
 
 
 def test_exhaustive_exploration_reports_fails(two_step_system):
-    result = query_reachable(two_step_system, "goal", max_depth=5)
+    options = ExplorationOptions(max_depth=5)
+    result = run_reachability(two_step_system, "goal", options=options)
     assert result.reachable is Verdict.FAILS
     assert result.configurations_explored == TOTAL_CONFIGURATIONS
     assert result.edges_explored == TOTAL_EDGES
-    bounded = query_reachable_bounded(two_step_system, "goal", bound=0, max_depth=5)
+    bounded = run_reachability(two_step_system, "goal", bound=0, options=options)
     assert bounded.reachable is Verdict.FAILS
 
 
 @pytest.mark.parametrize("max_configurations", [1, 2])
 def test_configuration_truncation_reports_unknown(two_step_system, max_configurations):
-    result = query_reachable(
-        two_step_system,
-        "goal",
-        limits=RecencyExplorationLimits(max_depth=5, max_configurations=max_configurations),
-    )
+    options = ExplorationOptions(max_depth=5, max_configurations=max_configurations)
+    result = run_reachability(two_step_system, "goal", options=options)
     assert result.reachable is Verdict.UNKNOWN
-    bounded = query_reachable_bounded(
-        two_step_system,
-        "goal",
-        bound=0,
-        limits=RecencyExplorationLimits(max_depth=5, max_configurations=max_configurations),
-    )
+    bounded = run_reachability(two_step_system, "goal", bound=0, options=options)
     assert bounded.reachable is Verdict.UNKNOWN
 
 
@@ -69,18 +61,10 @@ def test_exact_configuration_limit_on_last_successor_reports_unknown(two_step_sy
     # exactly when the last successor is discovered, so the exploration
     # stops before confirming there are no further edges — UNKNOWN, not
     # FAILS.
-    result = query_reachable(
-        two_step_system,
-        "goal",
-        limits=RecencyExplorationLimits(max_depth=5, max_configurations=TOTAL_CONFIGURATIONS),
-    )
+    options = ExplorationOptions(max_depth=5, max_configurations=TOTAL_CONFIGURATIONS)
+    result = run_reachability(two_step_system, "goal", options=options)
     assert result.reachable is Verdict.UNKNOWN
-    bounded = query_reachable_bounded(
-        two_step_system,
-        "goal",
-        bound=0,
-        limits=RecencyExplorationLimits(max_depth=5, max_configurations=TOTAL_CONFIGURATIONS),
-    )
+    bounded = run_reachability(two_step_system, "goal", bound=0, options=options)
     assert bounded.reachable is Verdict.UNKNOWN
 
 
@@ -88,18 +72,10 @@ def test_exact_configuration_limit_on_last_successor_reports_unknown(two_step_sy
 def test_step_truncation_reports_unknown(two_step_system, max_steps):
     # max_steps == TOTAL_EDGES is the exact off-by-one: the limit is hit
     # on the very last edge of a complete exploration.
-    result = query_reachable(
-        two_step_system,
-        "goal",
-        limits=RecencyExplorationLimits(max_depth=5, max_steps=max_steps),
-    )
+    options = ExplorationOptions(max_depth=5, max_steps=max_steps)
+    result = run_reachability(two_step_system, "goal", options=options)
     assert result.reachable is Verdict.UNKNOWN
-    bounded = query_reachable_bounded(
-        two_step_system,
-        "goal",
-        bound=0,
-        limits=RecencyExplorationLimits(max_depth=5, max_steps=max_steps),
-    )
+    bounded = run_reachability(two_step_system, "goal", bound=0, options=options)
     assert bounded.reachable is Verdict.UNKNOWN
 
 
@@ -107,23 +83,23 @@ def test_witness_on_the_truncating_successor_still_holds(two_step_system):
     # The predicate is checked on every generated successor before the
     # truncation check, so a witness found on the limit-hitting edge
     # wins: HOLDS, not UNKNOWN.
-    result = query_reachable(
+    result = run_reachability(
         two_step_system,
         "c",
-        limits=RecencyExplorationLimits(max_depth=5, max_configurations=TOTAL_CONFIGURATIONS),
+        options=ExplorationOptions(max_depth=5, max_configurations=TOTAL_CONFIGURATIONS),
     )
     assert result.reachable is Verdict.HOLDS
     assert len(result.witness.steps) == 2
-    bounded = query_reachable_bounded(
+    bounded = run_reachability(
         two_step_system,
         "c",
         bound=0,
-        limits=RecencyExplorationLimits(max_depth=5, max_steps=TOTAL_EDGES),
+        options=ExplorationOptions(max_depth=5, max_steps=TOTAL_EDGES),
     )
     assert bounded.reachable is Verdict.HOLDS
 
 
 def test_depth_limited_exploration_reports_unknown(two_step_system):
     # Horizon effect: the graph continues past the depth limit.
-    result = query_reachable(two_step_system, "goal", max_depth=1)
+    result = run_reachability(two_step_system, "goal", options=ExplorationOptions(max_depth=1))
     assert result.reachable is Verdict.UNKNOWN
