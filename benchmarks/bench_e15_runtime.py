@@ -33,9 +33,14 @@ import time
 
 from repro.casestudies.booking import booking_agency_system
 from repro.harness.reporting import print_experiment
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.runtime import SweepCheckpoint, WorkerPool
-from repro.search import RETAIN_COUNTS, process_backend_available, usable_cpu_count
+from repro.search import (
+    RETAIN_COUNTS,
+    ExplorationOptions,
+    process_backend_available,
+    usable_cpu_count,
+)
 from repro.workloads.sweeps import sweep
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -50,8 +55,7 @@ def _convergence_measure(parameters: dict) -> dict:
     explorer = RecencyExplorer(
         _BOOKING,
         parameters["b"],
-        RecencyExplorationLimits(max_depth=parameters["max_depth"]),
-        retention=RETAIN_COUNTS,
+        ExplorationOptions(max_depth=parameters["max_depth"], retention=RETAIN_COUNTS),
     )
     result = explorer.explore()
     return {"configurations": result.configuration_count, "edges": result.edge_count}
@@ -73,19 +77,18 @@ def warm_vs_cold(quick: bool) -> list[dict]:
     """Repeated sharded exploration: per-call-pool baseline vs warm pool."""
     repeats = 2 if quick else 6
     depth, shards, workers = 3, 2, 2
-    limits = RecencyExplorationLimits(max_depth=depth)
+    options = ExplorationOptions(max_depth=depth, retention=RETAIN_COUNTS)
 
     def explore_once(pool=None):
         explorer = RecencyExplorer(
-            _BOOKING, 2, limits, retention=RETAIN_COUNTS,
-            shards=shards, workers=workers, pool=pool,
+            _BOOKING, 2, options.replace(shards=shards, workers=workers), pool=pool
         )
         result = explorer.explore()
         if pool is None:
             explorer.close()  # per-call baseline: tear the backend down every time
         return result
 
-    reference = RecencyExplorer(_BOOKING, 2, limits, retention=RETAIN_COUNTS).explore()
+    reference = RecencyExplorer(_BOOKING, 2, options).explore()
     signatures = []
 
     started = time.perf_counter()

@@ -31,12 +31,11 @@ from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.booking import booking_agency_system
 from repro.fol.parser import parse_query
 from repro.harness.reporting import print_experiment
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.runtime import WorkerPool
 from repro.search import (
     Engine,
     RETAIN_COUNTS,
-    SearchLimits,
     ShardedEngine,
     process_backend_available,
     shared_memory_available,
@@ -96,15 +95,16 @@ def id_only_vs_pickled(quick: bool) -> list[dict]:
     workers = shards = 4
     successors = _fat_successors(width, degree, levels, payload_words)
     root = _fat_node(0, 0, payload_words)
-    limits = SearchLimits(max_depth=levels)
-    reference = Engine(successors, limits=limits, retention=RETAIN_COUNTS).explore(root)
+    options = ExplorationOptions(max_depth=levels, retention=RETAIN_COUNTS)
+    reference = Engine(successors, options).explore(root)
 
     def measure(shared: bool) -> tuple[float, bool]:
         with WorkerPool(workers=workers) as pool:
             engine = ShardedEngine(
-                successors, limits=limits, retention=RETAIN_COUNTS,
-                shards=shards, workers=workers, pool=pool, pool_key="e16-lattice",
-                shared_interning=shared,
+                successors,
+                options.replace(shards=shards, workers=workers, shared_interning=shared),
+                pool=pool,
+                pool_key="e16-lattice",
             )
             result = engine.explore(root)  # spawn + warm the workers untimed
             started = time.perf_counter()
@@ -161,13 +161,15 @@ def test_e16_id_only_traffic_vs_pickled(benchmark, run_once):
 def booking_bit_identical(quick: bool) -> list[dict]:
     """Shared-interning sharded exploration vs single-shard BFS on booking."""
     bound, depth = 2, 4 if quick else 5
-    limits = RecencyExplorationLimits(max_depth=depth)
-    reference = RecencyExplorer(_BOOKING, bound, limits, retention=RETAIN_COUNTS).explore()
+    counts = ExplorationOptions(max_depth=depth, retention=RETAIN_COUNTS)
+    reference = RecencyExplorer(_BOOKING, bound, counts).explore()
 
     with WorkerPool(workers=4) as pool:
         explorer = RecencyExplorer(
-            _BOOKING, bound, limits, retention=RETAIN_COUNTS,
-            shards=4, workers=4, pool=pool, shared_interning=True,
+            _BOOKING,
+            bound,
+            counts.replace(shards=4, workers=4, shared_interning=True),
+            pool=pool,
         )
         started = time.perf_counter()
         result = explorer.explore()

@@ -32,16 +32,12 @@ from repro.casestudies.booking import booking_agency_system
 from repro.distributed import DistributedEngine
 from repro.fol.parser import parse_query
 from repro.harness.reporting import print_experiment
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import (
     enumerate_b_bounded_successors,
     initial_recency_configuration,
 )
-from repro.search import (
-    RETAIN_COUNTS,
-    SearchLimits,
-    process_backend_available,
-)
+from repro.search import RETAIN_COUNTS, process_backend_available
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 FORK = process_backend_available()
@@ -59,9 +55,9 @@ def _booking_successors(bound: int):
 def two_level_memory(quick: bool) -> list[dict]:
     """Peak resident interned states: single table vs 2-node summary mode."""
     depth = 4 if quick else 5
-    limits = RecencyExplorationLimits(max_depth=depth)
+    counts = ExplorationOptions(max_depth=depth, retention=RETAIN_COUNTS)
     started = time.perf_counter()
-    single = RecencyExplorer(_BOOKING, _BOUND, limits, retention=RETAIN_COUNTS).explore()
+    single = RecencyExplorer(_BOOKING, _BOUND, counts).explore()
     single_seconds = time.perf_counter() - started
     baseline_states = single.configuration_count
     rows = [
@@ -80,12 +76,7 @@ def two_level_memory(quick: bool) -> list[dict]:
     if not FORK:
         rows.append({"mode": "2-node distributed unavailable (no fork)", "nodes": 2})
         return rows
-    with DistributedEngine(
-        _booking_successors(_BOUND),
-        nodes=2,
-        limits=SearchLimits(max_depth=depth),
-        retention=RETAIN_COUNTS,
-    ) as engine:
+    with DistributedEngine(_booking_successors(_BOUND), counts.replace(nodes=2)) as engine:
         root = initial_recency_configuration(_BOOKING)
         started = time.perf_counter()
         summary = engine.explore_summary(root)
@@ -128,13 +119,11 @@ def test_e17_two_level_memory_ceiling(benchmark, run_once):
 def booking_bit_identical(quick: bool) -> list[dict]:
     """2-node TCP exploration and reachability vs the single-shard engine."""
     depth = 4 if quick else 5
-    limits = RecencyExplorationLimits(max_depth=depth)
-    reference = RecencyExplorer(_BOOKING, _BOUND, limits, retention=RETAIN_COUNTS).explore()
+    counts = ExplorationOptions(max_depth=depth, retention=RETAIN_COUNTS)
+    reference = RecencyExplorer(_BOOKING, _BOUND, counts).explore()
     if not FORK:
         return [{"case": "booking", "mode": "distributed unavailable (no fork)"}]
-    with RecencyExplorer(
-        _BOOKING, _BOUND, limits, retention=RETAIN_COUNTS, nodes=2
-    ) as explorer:
+    with RecencyExplorer(_BOOKING, _BOUND, counts.replace(nodes=2)) as explorer:
         backend = explorer.backend_name
         started = time.perf_counter()
         result = explorer.explore()

@@ -30,8 +30,9 @@ from repro.casestudies.booking import booking_agency_system
 from repro.fol.parser import parse_query
 from repro.harness.reporting import print_experiment
 from repro.modelcheck.convergence import state_space_bound_sweep
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors
+from repro.search import RETAIN_FULL
 from repro.store import ResultStore, cached_compute
 from repro.workloads import drop_action_variant
 
@@ -108,10 +109,10 @@ def test_e18_cache_hit_latency(benchmark, run_once, tmp_path):
 
 def _cached_exploration(system, bound: int, depth: int, store):
     """One recency exploration routed through :func:`cached_compute`."""
-    limits = RecencyExplorationLimits(max_depth=depth)
+    options = ExplorationOptions(max_depth=depth, retention=RETAIN_FULL)
 
     def compute(successors):
-        explorer = RecencyExplorer(system, bound, limits, successors=successors)
+        explorer = RecencyExplorer(system, bound, options, successors=successors)
         return explorer.explore()
 
     return cached_compute(
@@ -120,10 +121,7 @@ def _cached_exploration(system, bound: int, depth: int, store):
         graph=f"recency:{bound}",
         parameters={"payload": "exploration", "max_depth": depth, "strategy": "bfs"},
         compute=compute,
-        capture_base=lambda configuration: enumerate_b_bounded_successors(
-            system, configuration, bound
-        ),
-        enumerate_subset=lambda configuration, actions: enumerate_b_bounded_successors(
+        successors=lambda configuration, actions=None: enumerate_b_bounded_successors(
             system, configuration, bound, actions
         ),
     )

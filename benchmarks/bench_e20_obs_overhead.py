@@ -4,7 +4,7 @@ Gates the telemetry PR's acceptance criteria over booking expansion:
 
 * **The disabled path is free** — exploring with the default null
   registry must stay within 5% of the uninstrumented engine loop
-  (``Engine._explore`` called directly, bypassing the telemetry
+  (``Engine._run`` called directly, bypassing the telemetry
   wrapper), and enabling a live :class:`~repro.obs.MetricsRegistry`
   must cost at most 1.05× the disabled wall-clock.  Each variant is
   timed as the **minimum of several repeats** (the least-noise
@@ -35,7 +35,13 @@ from repro.recency.semantics import (
     enumerate_b_bounded_successors,
     initial_recency_configuration,
 )
-from repro.search import Engine, SearchLimits, ShardedEngine, process_backend_available
+from repro.search import (
+    RETAIN_FULL,
+    Engine,
+    ExplorationOptions,
+    ShardedEngine,
+    process_backend_available,
+)
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -73,22 +79,22 @@ def telemetry_overhead(quick: bool) -> list[dict]:
     bound, depth = (1, 4) if quick else (2, 5)
     successors = _successors(bound)
     initial = initial_recency_configuration(_BOOKING)
-    limits = SearchLimits(max_depth=depth)
+    options = ExplorationOptions(max_depth=depth, retention=RETAIN_FULL)
 
     def baseline():
         # The pre-telemetry code path: the engine loop without the
         # explore() wrapper (no registry resolution, no span, no flush).
-        return Engine(successors, limits=limits)._explore(initial, None)
+        return Engine(successors, options)._run(initial, None, None)[1]
 
     def disabled():
-        return Engine(successors, limits=limits).explore(initial)
+        return Engine(successors, options).explore(initial)
 
     enabled_registry = MetricsRegistry()
 
     def enabled():
         set_global_registry(enabled_registry)
         try:
-            return Engine(successors, limits=limits).explore(initial)
+            return Engine(successors, options).explore(initial)
         finally:
             set_global_registry(None)
 
@@ -127,9 +133,7 @@ def counter_reconciliation(quick: bool) -> list[dict]:
     registry = MetricsRegistry()
     engine = ShardedEngine(
         _successors(bound),
-        limits=SearchLimits(max_depth=depth),
-        shards=4,
-        workers=workers,
+        ExplorationOptions(max_depth=depth, retention=RETAIN_FULL, shards=4, workers=workers),
         metrics=registry,
     )
     started = time.perf_counter()

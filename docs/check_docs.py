@@ -4,8 +4,9 @@ Three checks, all against the files as committed:
 
 1. **Executable snippets** — every fenced ``python`` block in the files
    listed in :data:`SNIPPET_FILES` (the README quickstart, the
-   distributed deployment note, the fuzzing guide and the observability
-   guide) is executed, in order, in one namespace
+   distributed deployment note, the fuzzing, observability and service
+   guides, and the engine quick start in ``src/repro/search/README.md``)
+   is executed, in order, in one namespace
    per file — so no documented snippet can drift from the real API.
 2. **Link check** — every relative Markdown link in ``README.md`` and
    ``docs/*.md`` must point at an existing file or directory (external
@@ -48,6 +49,7 @@ SNIPPET_FILES = (
     "docs/fuzzing.md",
     "docs/observability.md",
     "docs/service.md",
+    "src/repro/search/README.md",
 )
 
 # Packages whose public API must be fully documented.

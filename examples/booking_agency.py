@@ -16,7 +16,6 @@ from repro.dms import enumerate_successors, execute_labels
 from repro.fol import satisfies
 from repro.fol.syntax import Atom, Exists
 from repro.recency import RecencyExplorer
-from repro.recency.explorer import RecencyExplorationLimits
 
 
 HAPPY_PATH = [
@@ -59,7 +58,9 @@ def main() -> None:
 
     print("\n== Recency-bounded analysis ==")
     explorer = RecencyExplorer(
-        system, bound=4, limits=RecencyExplorationLimits(max_depth=5, max_configurations=5000)
+        system,
+        bound=4,
+        options=ExplorationOptions(max_depth=5, max_configurations=5000, retention="full"),
     )
     exploration = explorer.explore()
     print(f"  explored {exploration.configuration_count} configurations "

@@ -5,8 +5,9 @@ Every reachability question goes through this package:
 
 * :class:`ExplorationOptions` — every knob that shapes an exploration
   (limits, strategy, retention, sharding, distribution), as one frozen
-  value object that travels whole through queries, sessions and the
-  convergence sweeps;
+  value object that travels whole through queries, sessions, the
+  convergence sweeps and down to the engines (it lives in
+  :mod:`repro.search` and is re-exported here);
 * :func:`run_reachability` — the one reachability implementation,
   bounded (``bound=b``) or unbounded (``bound=None``), over a
   proposition name or a boolean FOL(R) query;
@@ -19,9 +20,9 @@ fuzz oracle and library callers all consume this facade, so behaviour
 (verdicts, witnesses, store keys) is defined in exactly one place.
 """
 
-from repro.api.options import ExplorationOptions
 from repro.api.query import condition_key, instance_predicate, run_reachability
 from repro.api.session import Session
+from repro.search import ExplorationOptions
 
 __all__ = [
     "ExplorationOptions",

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.api.options import ExplorationOptions
 from repro.database.instance import DatabaseInstance
 from repro.dms.system import DMS
 from repro.errors import ModelCheckingError
 from repro.fol.evaluator import evaluate_sentence
 from repro.fol.syntax import Query
 from repro.modelcheck.result import ReachabilityResult, Verdict
+from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors
+from repro.search import ExplorationOptions
 from repro.store.service import cached_compute
 
 __all__ = ["condition_key", "instance_predicate", "run_reachability"]
@@ -109,16 +110,15 @@ def run_reachability(
     """
     options = options or ExplorationOptions()
     predicate = instance_predicate(condition, system)
-    effective = options.recency_limits()
 
     def compute(successors) -> ReachabilityResult:
-        explorer = options.explorer(system, bound, pool=pool, successors=successors)
+        explorer = RecencyExplorer(system, bound, options, pool=pool, successors=successors)
         witness, stats = explorer.find_configuration(
             lambda configuration: predicate(configuration.instance), on_state
         )
         if witness is not None:
             verdict = Verdict.HOLDS
-        elif stats.truncated or stats.depth_reached >= effective.max_depth:
+        elif stats.truncated or stats.depth_reached >= options.max_depth:
             verdict = Verdict.UNKNOWN
         else:
             verdict = Verdict.FAILS
@@ -127,14 +127,13 @@ def run_reachability(
             witness=witness.plain() if witness is not None and bound is None else witness,
             configurations_explored=stats.configuration_count,
             edges_explored=stats.edge_count,
-            depth=effective.max_depth,
+            depth=options.max_depth,
             bound=bound,
         )
 
     def successors(configuration, actions=None):
         return enumerate_b_bounded_successors(system, configuration, bound, actions)
 
-    single_shard = options.single_shard
     result, _ = cached_compute(
         store=store,
         system=system,
@@ -144,15 +143,10 @@ def run_reachability(
         parameters={
             "payload": "reachability",
             "condition": condition_key(condition),
-            "max_depth": effective.max_depth,
-            "max_configurations": effective.max_configurations,
-            "max_steps": effective.max_steps,
-            "strategy": options.strategy,
-            "retention": options.retention,
+            **options.result_fields(),
         },
         compute=compute,
-        capture_base=successors if single_shard else None,
-        enumerate_subset=successors if single_shard else None,
+        successors=successors if options.single_shard else None,
         cacheable=options.heuristic is None,
     )
     return result

@@ -35,7 +35,6 @@ import threading
 from typing import Callable
 
 from repro.api import query as api_query
-from repro.api.options import ExplorationOptions
 from repro.dms.system import DMS
 from repro.errors import ModelCheckingError, QueryTimeoutError, SchedulerError, SessionError
 from repro.fol.syntax import Query
@@ -43,6 +42,7 @@ from repro.modelcheck.result import ReachabilityResult
 from repro.obs.metrics import resolve_metrics
 from repro.runtime.pool import WorkerPool
 from repro.runtime.scheduler import SweepScheduler
+from repro.search import ExplorationOptions
 from repro.store.canonical import system_hash
 from repro.store.service import resolve_store
 
@@ -224,11 +224,7 @@ class Session:
             "condition_kind": "proposition" if isinstance(condition, str) else "query",
             "condition": condition if isinstance(condition, str) else _encode_condition(condition),
             "bound": bound,
-            "max_depth": effective.max_depth,
-            "max_configurations": effective.max_configurations,
-            "max_steps": effective.max_steps,
-            "strategy": effective.strategy,
-            "retention": effective.retention,
+            **effective.result_fields(),
         }
         registry = resolve_metrics(self._metrics)
         registry.counter("api_queries_total", path="isolated").inc()
@@ -262,11 +258,7 @@ class Session:
             if parameters["condition_kind"] == "query":
                 condition = pickle.loads(base64.b64decode(condition))
             options = ExplorationOptions(
-                max_depth=parameters["max_depth"],
-                max_configurations=parameters["max_configurations"],
-                max_steps=parameters["max_steps"],
-                strategy=parameters["strategy"],
-                retention=parameters["retention"],
+                **{name: parameters[name] for name in ExplorationOptions.RESULT_FIELDS}
             )
             result = api_query.run_reachability(
                 system, condition, bound=parameters["bound"], options=options, store=store

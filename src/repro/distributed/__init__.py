@@ -27,11 +27,11 @@ The moving parts:
 * :class:`~repro.distributed.launcher.LocalCluster` — forks localhost
   agents over real TCP so CI needs no cluster.
 
-Most callers never touch this package directly: pass ``nodes=2`` (and
-optionally ``transport=``) to :class:`~repro.search.sharded.ShardedEngine`,
-:class:`~repro.recency.explorer.RecencyExplorer`, or through
-:class:`~repro.api.ExplorationOptions` to
-:func:`~repro.api.run_reachability` and the convergence sweeps — or use
+Most callers never touch this package directly: set ``nodes=2`` (and
+optionally ``transport``) on the :class:`~repro.search.ExplorationOptions`
+given to :class:`~repro.search.sharded.ShardedEngine`,
+:class:`~repro.recency.explorer.RecencyExplorer`,
+:func:`~repro.api.run_reachability` or the convergence sweeps — or use
 the harness CLI.  See ``docs/distributed.md`` for
 the wire format, the failure semantics and a deployment recipe.
 """

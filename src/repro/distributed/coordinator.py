@@ -41,7 +41,8 @@ from repro.distributed.context import ExplorationContext
 from repro.distributed.transport import PROTOCOL_VERSION, Channel
 from repro.errors import DistributedError, NodeCrashError, SearchError
 from repro.obs.metrics import resolve_metrics
-from repro.search.engine import RETAIN_FULL, RETENTION_MODES, SearchLimits, SearchResult
+from repro.search.engine import SearchResult
+from repro.search.options import ExplorationOptions
 from repro.search.sharded import DEFAULT_BATCH_SIZE, run_levels, search_partitions
 
 __all__ = [
@@ -409,9 +410,9 @@ class DistributedEngine:
     Drop-in for :class:`~repro.search.sharded.ShardedEngine` semantics:
     :meth:`explore` and :meth:`search` return results bit-identical to
     the single-shard engine's, while intern tables and expansion run on
-    ``nodes`` agent processes.  Normally reached through
-    ``ShardedEngine(nodes=..., transport=...)`` (and everything layered
-    on it) rather than instantiated directly.
+    ``options.nodes`` agent processes.  Normally reached through a
+    ``ShardedEngine`` whose options ask for ``nodes > 1`` (and
+    everything layered on it) rather than instantiated directly.
 
     Args:
         successors: deterministic, pure successor function (as for the
@@ -419,20 +420,18 @@ class DistributedEngine:
             agents inherit it through fork; with an external
             :class:`Coordinator` a picklable ``context`` must describe
             it instead.
-        nodes: number of node agents (and hash partitions of the
-            two-level scheme).
-        limits: depth/state/edge limits.
-        retention: edge-retention mode.
-        strategy: must be ``"bfs"`` (the scheme is level-synchronous).
-        local_shards: per-node shard queues for batch composition.
-        local_workers: per-node expansion processes (1 = in-process).
+        options: the :class:`~repro.search.options.ExplorationOptions`
+            of every exploration: limits, retention, the strategy (must
+            be ``"bfs"`` — the scheme is level-synchronous) and the
+            shape.  ``nodes`` agents each own one hash partition;
+            ``shards``, ``workers`` and ``shared_interning`` are each
+            node's *local* shard queues, expansion processes and
+            id-only traffic knob (``None`` = auto, exactly as
+            node-locally sharded engines decide it); ``transport`` is
+            ``None``/``"tcp"`` to fork a localhost cluster owned by the
+            engine, or a :class:`Coordinator` with accepted agents that
+            is borrowed and left running on :meth:`close`.
         batch_size: states per expansion task, as for the sharded engine.
-        shared_interning: per-node id-only expansion traffic knob
-            (``None`` = auto, exactly as node-locally sharded engines
-            decide it).
-        transport: ``None``/``"tcp"`` fork a localhost cluster owned by
-            the engine; a :class:`Coordinator` with accepted agents is
-            borrowed and left running on :meth:`close`.
         context: picklable successor recipe for external agents.
         retries: how many times a crashed exploration is re-run on a
             respawned local cluster before the crash propagates.
@@ -451,41 +450,22 @@ class DistributedEngine:
     def __init__(
         self,
         successors: Callable[[Any], Iterable],
+        options: ExplorationOptions,
         *,
-        nodes: int,
-        limits: SearchLimits | None = None,
-        retention: str = RETAIN_FULL,
-        strategy: str = "bfs",
-        local_shards: int = 1,
-        local_workers: int = 1,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        shared_interning: bool | None = None,
-        transport: Any = None,
         context: ExplorationContext | None = None,
         retries: int = 1,
         heartbeat_timeout: float = HEARTBEAT_TIMEOUT_SECONDS,
         metrics=None,
     ) -> None:
-        if nodes < 1:
-            raise SearchError("a distributed exploration needs at least one node")
-        if strategy != "bfs":
+        if options.strategy != "bfs":
             raise SearchError(
                 "distributed exploration is level-synchronous and supports only the "
-                f"'bfs' strategy (got {strategy!r})"
-            )
-        if retention not in RETENTION_MODES:
-            raise SearchError(
-                f"unknown edge-retention mode {retention!r}; expected one of {RETENTION_MODES}"
+                f"'bfs' strategy (got {options.strategy!r})"
             )
         self._successors = successors
-        self._nodes = nodes
-        self._limits = limits or SearchLimits()
-        self._retention = retention
-        self._local_shards = max(1, local_shards)
-        self._local_workers = max(1, local_workers)
+        self.options = options
         self._batch_size = max(1, batch_size)
-        self._shared_interning = shared_interning
-        self._transport = transport
         self._context = context
         self._retries = retries
         self._heartbeat_timeout = heartbeat_timeout
@@ -496,51 +476,38 @@ class DistributedEngine:
 
     # -- cluster lifecycle -------------------------------------------------------
 
-    @property
-    def nodes(self) -> int:
-        """Number of node agents."""
-        return self._nodes
-
-    @property
-    def limits(self) -> SearchLimits:
-        """The exploration limits."""
-        return self._limits
-
-    @property
-    def retention(self) -> str:
-        """The edge-retention mode."""
-        return self._retention
-
     def _lease_config(self) -> dict:
+        options = self.options
         return {
-            "nodes": self._nodes,
-            "local_shards": self._local_shards,
-            "local_workers": self._local_workers,
+            "nodes": options.nodes,
+            "local_shards": options.shards,
+            "local_workers": options.workers,
             "batch_size": self._batch_size,
-            "shared_interning": self._shared_interning,
+            "shared_interning": options.shared_interning,
             "metrics": resolve_metrics(self._metrics).enabled,
         }
 
     def _ensure_cluster(self) -> Coordinator:
         """The leased coordinator, launching a localhost cluster on first use."""
+        nodes, transport = self.options.nodes, self.options.transport
         if self._coordinator is None:
-            if isinstance(self._transport, Coordinator):
-                self._coordinator = self._transport
-            elif self._transport in (None, "tcp"):
+            if isinstance(transport, Coordinator):
+                self._coordinator = transport
+            elif transport in (None, "tcp"):
                 from repro.distributed.launcher import LocalCluster
 
-                self._launcher = LocalCluster(self._nodes, self._successors)
+                self._launcher = LocalCluster(nodes, self._successors)
                 self._coordinator = self._launcher.coordinator
                 self._finalizer = weakref.finalize(self, _close_launcher, self._launcher)
             else:
                 raise SearchError(
-                    f"unknown distributed transport {self._transport!r}; expected None, "
+                    f"unknown distributed transport {transport!r}; expected None, "
                     "'tcp' or a Coordinator"
                 )
-        if self._coordinator.nodes != self._nodes:
+        if self._coordinator.nodes != nodes:
             raise DistributedError(
                 f"the coordinator has {self._coordinator.nodes} agents but the engine "
-                f"was configured for {self._nodes} nodes"
+                f"was configured for {nodes} nodes"
             )
         context = self._context
         if self._launcher is None and context is None:
@@ -603,7 +570,7 @@ class DistributedEngine:
             try:
                 with TcpTransport(
                     coordinator,
-                    chunk_size=self._batch_size * self._local_workers,
+                    chunk_size=self._batch_size * self.options.workers,
                     heartbeat_timeout=self._heartbeat_timeout,
                     record=record,
                 ) as transport:
@@ -645,8 +612,8 @@ class DistributedEngine:
         """
         return self._on_nodes(
             lambda transport, record: search_partitions(
-                transport, initial, predicate, limits=self._limits,
-                retention=self._retention, on_state=on_state, record=record,
+                transport, initial, self.options,
+                predicate=predicate, on_state=on_state, record=record,
             )
         )
 
@@ -658,10 +625,7 @@ class DistributedEngine:
         """
 
         def summarize(transport: TcpTransport, record) -> DistributedSummary:
-            run = run_levels(
-                transport, initial, limits=self._limits, retention=self._retention,
-                record=record,
-            )
+            run = run_levels(transport, initial, self.options, record=record)
             replies = transport.broadcast("summarize", lambda index: {})
             return DistributedSummary(
                 states=run.states,

@@ -3,10 +3,11 @@
 A :class:`LocalCluster` binds a coordinator on an ephemeral loopback
 port, forks ``nodes`` agent processes that connect back to it over
 **real TCP sockets**, and completes the hello handshakes — so CI (and
-the default ``nodes=`` path of every entry point) exercises the genuine
-wire protocol, framing, heartbeats and frontier exchange without a
-cluster.  The agents inherit the successor closure through fork, exactly
-like pool workers, so no context needs to pickle.
+the default transport of ``ExplorationOptions(nodes=...)`` on every
+entry point) exercises the genuine wire protocol, framing, heartbeats
+and frontier exchange without a cluster.  The agents inherit the
+successor closure through fork, exactly like pool workers, so no
+context needs to pickle.
 
 The cluster maps node death onto the worker pool's crash-respawn
 semantics at node granularity: :meth:`restart` tears everything down and

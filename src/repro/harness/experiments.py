@@ -31,7 +31,7 @@ from repro.msofo.semantics import holds_on_run
 from repro.recency.abstraction import abstract_run, symbolic_alphabet
 from repro.recency.canonical import runs_equivalent_modulo_permutation
 from repro.recency.concretize import concretize_word
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer, iterate_b_bounded_runs
+from repro.recency.explorer import RecencyExplorer, iterate_b_bounded_runs
 from repro.recency.semantics import execute_b_bounded_labels, minimal_recency_bound
 from repro.search import RETAIN_COUNTS, RETAIN_PARENTS
 from repro.search.baseline import SeedExplorationLimits, SeedRecencyExplorer
@@ -442,8 +442,9 @@ def experiment_e10_booking(max_depth: int = 5) -> list[dict]:
     explorer = RecencyExplorer(
         system,
         bound=4,
-        limits=RecencyExplorationLimits(max_depth=max_depth, max_configurations=4000),
-        retention=RETAIN_COUNTS,
+        options=ExplorationOptions(
+            max_depth=max_depth, max_configurations=4000, retention=RETAIN_COUNTS
+        ),
     )
     exploration = explorer.explore()
     rows.append(
@@ -537,10 +538,9 @@ def experiment_e12_bulk(product_counts: tuple[int, ...] = (1, 2, 3)) -> list[dic
         explorer = RecencyExplorer(
             system,
             bound=products + 2,
-            limits=RecencyExplorationLimits(
-                max_depth=4 * products + 4, max_configurations=50000
+            options=ExplorationOptions(
+                max_depth=4 * products + 4, max_configurations=50000, retention=RETAIN_PARENTS
             ),
-            retention=RETAIN_PARENTS,
         )
 
         def all_ordered(configuration) -> bool:
@@ -607,10 +607,7 @@ def experiment_e13_engine(quick: bool = False, *, parallel: int = 1) -> list[dic
         seed_seconds = time.perf_counter() - started
 
         engine_explorer = RecencyExplorer(
-            system,
-            bound,
-            RecencyExplorationLimits(max_depth=depth),
-            retention=RETAIN_PARENTS,
+            system, bound, ExplorationOptions(max_depth=depth, retention=RETAIN_PARENTS)
         )
         started = time.perf_counter()
         engine_witness, engine_stats = engine_explorer.find_configuration(never)
@@ -622,7 +619,7 @@ def experiment_e13_engine(quick: bool = False, *, parallel: int = 1) -> list[dic
         tracemalloc.stop()
 
         counts_only = RecencyExplorer(
-            system, bound, RecencyExplorationLimits(max_depth=depth), retention=RETAIN_COUNTS
+            system, bound, ExplorationOptions(max_depth=depth, retention=RETAIN_COUNTS)
         )
         tracemalloc.start()
         counts_exploration = counts_only.explore()
@@ -733,15 +730,13 @@ def experiment_e14_sharded(
         never = lambda configuration: False  # noqa: E731 - exhaustive search
 
         def measure(parameters: dict, system=system, bound=bound, depth=depth, never=never) -> dict:
-            explorer = RecencyExplorer(
-                system,
-                bound,
-                RecencyExplorationLimits(max_depth=depth),
+            options = ExplorationOptions(
+                max_depth=depth,
                 retention=RETAIN_PARENTS,
                 shards=parameters["shards"],
                 workers=parameters["workers"],
-                pool=exploration_pool,
             )
+            explorer = RecencyExplorer(system, bound, options, pool=exploration_pool)
             backend = explorer.backend_name
             started = time.perf_counter()
             witness, stats = explorer.find_configuration(never)
@@ -825,16 +820,10 @@ def experiment_e14_sharded(
         # agents own the intern tables, the merged counts must match the
         # single-shard engine's exactly.
         bound, depth = 2, 4 if quick else 6
-        single = RecencyExplorer(
-            booking, bound, RecencyExplorationLimits(max_depth=depth), retention=RETAIN_COUNTS
-        ).explore()
+        options = ExplorationOptions(max_depth=depth, retention=RETAIN_COUNTS)
+        single = RecencyExplorer(booking, bound, options).explore()
         with RecencyExplorer(
-            booking,
-            bound,
-            RecencyExplorationLimits(max_depth=depth),
-            retention=RETAIN_COUNTS,
-            nodes=nodes,
-            transport=transport,
+            booking, bound, options.replace(nodes=nodes, transport=transport)
         ) as distributed_explorer:
             backend = distributed_explorer.backend_name
             started = time.perf_counter()

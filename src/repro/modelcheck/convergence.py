@@ -7,7 +7,7 @@ converge to the exact ones in the limit (Example 5.2 derives a concrete
 the bound and report how verdicts and the amount of explored behaviour
 evolve, which is what experiment E9 measures.
 
-Every helper takes one :class:`~repro.api.ExplorationOptions` value
+Every helper takes one :class:`~repro.search.ExplorationOptions` value
 (``options=``) for the knobs that shape an exploration — limits,
 strategy, retention and execution shape — and asks its questions through
 :func:`repro.api.run_reachability`; ``max_depth`` stays a positional
@@ -35,17 +35,14 @@ bit-identical to cold exploration.  The store object is fork-safe, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.dms.system import DMS
 from repro.fol.syntax import Query
 from repro.modelcheck.result import Verdict
+from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors
 from repro.runtime import SweepScheduler
-from repro.search import RETAIN_COUNTS
-
-if TYPE_CHECKING:
-    from repro.api.options import ExplorationOptions
+from repro.search import RETAIN_COUNTS, ExplorationOptions
 
 __all__ = ["BoundSweepEntry", "reachability_bound_sweep", "state_space_bound_sweep", "convergence_bound"]
 
@@ -94,14 +91,7 @@ def _memo_grid(
     keeps it) never serve each other's rows.  Without a checkpoint the
     hash is skipped — no memo reads the keys, and warm sweeps stay cheap.
     """
-    shared = {
-        "max_depth": options.max_depth,
-        "max_configurations": options.max_configurations,
-        "max_steps": options.max_steps,
-        "strategy": options.strategy,
-        "heuristic": _heuristic_key(options.heuristic),
-        "retention": options.retention,
-    }
+    shared = {**options.result_fields(), "heuristic": _heuristic_key(options.heuristic)}
     if checkpoint is not None:
         from repro.store.canonical import system_hash
 
@@ -156,7 +146,6 @@ def reachability_bound_sweep(
     workers to sequential sweeps only.  ``on_point`` streams each
     completed bound.
     """
-    from repro.api.options import ExplorationOptions
     from repro.api.query import run_reachability
 
     effective = (options or ExplorationOptions()).replace(max_depth=max_depth)
@@ -219,7 +208,6 @@ def state_space_bound_sweep(
     same way.  ``store`` serves repeat points from the content-addressed
     result store (exploration results cached whole).
     """
-    from repro.api.options import ExplorationOptions
     from repro.store.service import cached_compute
 
     effective = (options or ExplorationOptions(retention=RETAIN_COUNTS)).replace(
@@ -235,26 +223,17 @@ def state_space_bound_sweep(
             return enumerate_b_bounded_successors(system, configuration, bound, actions)
 
         def compute(override):
-            return effective.explorer(
-                system, bound, pool=exploration_pool, successors=override
+            return RecencyExplorer(
+                system, bound, effective, pool=exploration_pool, successors=override
             ).explore()
 
-        single_shard = effective.single_shard
         result, _ = cached_compute(
             store=exploration_store,
             system=system,
             graph=f"recency:{bound}",
-            parameters={
-                "payload": "exploration",
-                "max_depth": effective.max_depth,
-                "max_configurations": effective.max_configurations,
-                "max_steps": effective.max_steps,
-                "strategy": effective.strategy,
-                "retention": effective.retention,
-            },
+            parameters={"payload": "exploration", **effective.result_fields()},
             compute=compute,
-            capture_base=successors if single_shard else None,
-            enumerate_subset=successors if single_shard else None,
+            successors=successors if effective.single_shard else None,
             cacheable=effective.heuristic is None,
         )
         return {
@@ -299,7 +278,6 @@ def convergence_bound(
     sharded expansion workers warm across the whole scan, and ``store``
     serves the scan's queries from the content-addressed result store.
     """
-    from repro.api.options import ExplorationOptions
     from repro.api.query import run_reachability
 
     effective = (options or ExplorationOptions()).replace(max_depth=max_depth)

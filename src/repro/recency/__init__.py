@@ -20,7 +20,6 @@ from repro.recency.concretize import (
     is_valid_abstract_word,
 )
 from repro.recency.explorer import (
-    RecencyExplorationLimits,
     RecencyExplorationResult,
     RecencyExplorer,
     iterate_b_bounded_runs,
@@ -44,7 +43,6 @@ __all__ = [
     "ConcretizationError",
     "RecencyBoundedRun",
     "RecencyConfiguration",
-    "RecencyExplorationLimits",
     "RecencyExplorationResult",
     "RecencyExplorer",
     "RecencyStep",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.dms.system import DMS
+from repro.errors import SearchError
 from repro.recency.semantics import (
     RecencyBoundedRun,
     RecencyConfiguration,
@@ -29,30 +30,13 @@ from repro.recency.semantics import (
 from repro.search import (
     RETAIN_FULL,
     Engine,
-    SearchLimits,
+    ExplorationOptions,
     SearchResult,
     ShardedEngine,
     iterate_paths,
 )
 
-__all__ = ["RecencyExplorationLimits", "RecencyExplorationResult", "RecencyExplorer", "iterate_b_bounded_runs"]
-
-
-@dataclass(frozen=True)
-class RecencyExplorationLimits:
-    """Limits bounding an exploration of ``C_S^b``."""
-
-    max_depth: int = 6
-    max_configurations: int = 100_000
-    max_steps: int = 500_000
-
-    def as_search_limits(self) -> SearchLimits:
-        """The engine-level form of these limits."""
-        return SearchLimits(
-            max_depth=self.max_depth,
-            max_configurations=self.max_configurations,
-            max_steps=self.max_steps,
-        )
+__all__ = ["RecencyExplorationResult", "RecencyExplorer", "iterate_b_bounded_runs"]
 
 
 @dataclass
@@ -100,37 +84,21 @@ class RecencyExplorer:
         system: the DMS to explore.
         bound: the recency bound ``b``; ``None`` explores the unbounded
             graph ``C_S``.
-        limits: depth/state/edge limits.
-        strategy: frontier strategy — ``"bfs"`` (default), ``"dfs"`` or
-            ``"best-first"`` (requires ``heuristic``).
-        heuristic: ``heuristic(configuration, depth) -> comparable`` for
-            the best-first strategy.
-        retention: edge-retention mode — ``"full"`` (default),
-            ``"parents-only"`` or ``"counts-only"``.
-        shards: hash partitions of the sharded engine; with ``shards`` or
-            ``workers`` above 1 the exploration runs level-synchronously
-            sharded (``"bfs"`` only) with results bit-identical to the
-            single-shard engine (see :mod:`repro.search.sharded`).
-        workers: successor-expansion processes (1 = in-process serial).
+        options: the :class:`~repro.search.ExplorationOptions` of every
+            exploration — limits, strategy, retention and execution
+            shape.  With ``shards``, ``workers`` or ``nodes`` above 1 the
+            exploration runs level-synchronously sharded (``"bfs"``
+            only; two-level distributed with ``nodes > 1``) with results
+            bit-identical to the single-shard engine (see
+            :mod:`repro.search.sharded`); an external
+            :class:`repro.distributed.Coordinator` as ``transport`` is
+            shipped a picklable ``(system, bound)`` context
+            automatically.
         pool: a :class:`repro.runtime.WorkerPool` to borrow warm
-            expansion workers from.  The pool context is keyed by
-            ``(system, bound)``, so explorer instances over the same
-            case-study context share the same warm workers.
-        shared_interning: ship intern ids instead of pickled
-            configurations over the expansion pipes
-            (:mod:`repro.search.shm_interning`).  Default ``None``
-            (auto): on exactly when expansion runs on worker processes
-            and shared memory is available; the in-process fallback is
-            always off.  Results are bit-identical either way.
-        nodes: with ``nodes > 1`` the exploration runs two-level
-            distributed (:mod:`repro.distributed`): each node agent
-            owns the intern table of its hash-partition and
-            ``shards``/``workers`` become per-node local configuration.
-            Results stay bit-identical; ``pool`` is ignored.
-        transport: ``None``/``"tcp"`` fork a localhost TCP cluster;
-            pass a :class:`repro.distributed.Coordinator` to use
-            externally started agents (the explorer ships them a
-            picklable ``(system, bound)`` context automatically).
+            expansion workers from (single-node sharded explorations
+            only).  The pool context is keyed by ``(system, bound)``, so
+            explorer instances over the same case-study context share
+            the same warm workers.
         successors: advanced — replace the canonical successor function
             with a semantics-equivalent callable (the result store's
             recording/delta wrappers, :mod:`repro.store.capture`).
@@ -146,22 +114,12 @@ class RecencyExplorer:
         self,
         system: DMS,
         bound: int | None,
-        limits: RecencyExplorationLimits | None = None,
+        options: ExplorationOptions,
         *,
-        strategy: str = "bfs",
-        heuristic: Callable[[RecencyConfiguration, int], object] | None = None,
-        retention: str = RETAIN_FULL,
-        shards: int = 1,
-        workers: int = 1,
         pool=None,
-        shared_interning: bool | None = None,
-        nodes: int = 1,
-        transport=None,
         successors: Callable | None = None,
     ) -> None:
-        if successors is not None and (shards > 1 or workers > 1 or nodes > 1):
-            from repro.errors import SearchError
-
+        if successors is not None and not options.single_shard:
             raise SearchError(
                 "a successors override applies to single-shard in-process "
                 "explorations only (shards == workers == nodes == 1)"
@@ -169,16 +127,8 @@ class RecencyExplorer:
         self._successors_override = successors
         self._system = system
         self._bound = bound
-        self._limits = limits or RecencyExplorationLimits()
-        self._strategy = strategy
-        self._heuristic = heuristic
-        self._retention = retention
-        self._shards = shards
-        self._workers = workers
+        self.options = options
         self._pool = pool
-        self._shared_interning = shared_interning
-        self._nodes = nodes
-        self._transport = transport
         self._engine_instance = None
 
     @property
@@ -190,36 +140,6 @@ class RecencyExplorer:
     def bound(self) -> int | None:
         """The recency bound ``b`` (``None`` for the unbounded graph)."""
         return self._bound
-
-    @property
-    def limits(self) -> RecencyExplorationLimits:
-        """The exploration limits."""
-        return self._limits
-
-    @property
-    def strategy(self) -> str:
-        """The frontier strategy in use."""
-        return self._strategy
-
-    @property
-    def retention(self) -> str:
-        """The edge-retention mode in use."""
-        return self._retention
-
-    @property
-    def shards(self) -> int:
-        """Number of hash partitions of the sharded engine."""
-        return self._shards
-
-    @property
-    def workers(self) -> int:
-        """Number of successor-expansion workers."""
-        return self._workers
-
-    @property
-    def nodes(self) -> int:
-        """Number of distributed node agents (1 = this process only)."""
-        return self._nodes
 
     @property
     def backend_name(self) -> str:
@@ -243,33 +163,21 @@ class RecencyExplorer:
         successors = lambda configuration: enumerate_b_bounded_successors(  # noqa: E731
             system, configuration, bound
         )
-        if self._shards > 1 or self._workers > 1 or self._nodes > 1:
+        options = self.options
+        if options.single_shard:
+            self._engine_instance = Engine(self._successors_override or successors, options)
+        else:
             context = None
-            if self._nodes > 1:
+            if options.nodes > 1:
                 from repro.distributed.context import RecencyContext
 
                 context = RecencyContext(system, bound)
             self._engine_instance = ShardedEngine(
-                successors=successors,
-                limits=self._limits.as_search_limits(),
-                strategy=self._strategy,
-                retention=self._retention,
-                shards=self._shards,
-                workers=self._workers,
-                pool=self._pool if self._nodes == 1 else None,
+                successors,
+                options,
+                pool=self._pool if options.nodes == 1 else None,
                 pool_key=("recency", id(system), bound) if self._pool is not None else None,
-                shared_interning=self._shared_interning,
-                nodes=self._nodes,
-                transport=self._transport,
                 context=context,
-            )
-        else:
-            self._engine_instance = Engine(
-                successors=self._successors_override or successors,
-                limits=self._limits.as_search_limits(),
-                strategy=self._strategy,
-                heuristic=self._heuristic,
-                retention=self._retention,
             )
         return self._engine_instance
 

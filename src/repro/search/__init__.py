@@ -6,15 +6,19 @@ the reproduction: recency-bounded exploration of ``C_S^b`` and, with
 through :mod:`repro.recency.explorer`), run enumeration for the model
 checker, and the E9/E10/E12/E13 experiment sweeps.
 
-Quick start::
+Every engine takes one :class:`ExplorationOptions` value — limits,
+strategy, retention and execution shape — whose constructor validates
+all of them.  Quick start (runnable in ``src/repro/search/README.md``)::
 
-    from repro.search import Engine, SearchLimits, RETAIN_PARENTS
+    from repro.search import Engine, ExplorationOptions
 
     engine = Engine(
-        successors=lambda conf: enumerate_b_bounded_successors(system, conf, 2),
-        limits=SearchLimits(max_depth=6),
-        strategy="bfs",              # or "dfs" / "best-first" + heuristic
-        retention=RETAIN_PARENTS,    # or "full" / "counts-only"
+        lambda conf: enumerate_b_bounded_successors(system, conf, 2),
+        ExplorationOptions(
+            max_depth=6,
+            strategy="bfs",              # or "dfs" / "best-first" + heuristic
+            retention="parents-only",    # or "full" / "counts-only"
+        ),
     )
     witness, result = engine.search(initial, predicate)
 
@@ -60,7 +64,7 @@ Process-backed expansion traffic is **id-only** by default: states are
 interned into a shared-memory slab
 (:mod:`repro.search.shm_interning`) and only intern ids cross the
 worker pipes, deserializing each configuration at most once per
-process.  The ``shared_interning=`` knob forces it on/off; hosts
+process.  The ``shared_interning`` option forces it on/off; hosts
 without ``multiprocessing.shared_memory`` fall back to pickled traffic
 with identical results.
 
@@ -77,7 +81,6 @@ from repro.search.engine import (
     RETAIN_PARENTS,
     RETENTION_MODES,
     Engine,
-    SearchLimits,
     SearchResult,
     iterate_paths,
 )
@@ -89,6 +92,7 @@ from repro.search.frontier import (
     make_frontier,
 )
 from repro.search.interning import InternTable
+from repro.search.options import ExplorationOptions
 from repro.search.shm_interning import (
     SharedInternTable,
     SharedStateStore,
@@ -114,11 +118,11 @@ __all__ = [
     "BFSFrontier",
     "DFSFrontier",
     "Engine",
+    "ExplorationOptions",
     "Frontier",
     "InternTable",
     "Partition",
     "SearchError",
-    "SearchLimits",
     "SearchResult",
     "SerialExpansionBackend",
     "ShardFrontiers",

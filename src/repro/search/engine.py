@@ -11,7 +11,9 @@ the single implementation of that exploration, parameterised over
 * a **frontier strategy** (``"bfs"``, ``"dfs"`` or ``"best-first"`` with
   a user heuristic — see :mod:`repro.search.frontier`),
 * an **edge-retention mode** bounding memory (see below), and
-* :class:`SearchLimits` bounding depth, state count and edge count.
+* depth, state-count and edge-count limits,
+
+all read from one :class:`~repro.search.options.ExplorationOptions`.
 
 States are hash-consed through an :class:`~repro.search.interning.InternTable`:
 each distinct state is deep-hashed exactly once, after which the
@@ -59,15 +61,16 @@ The engine reproduces the seed explorers' truncation behaviour exactly:
 limits are checked after *every generated edge*, and hitting
 ``max_configurations`` or ``max_steps`` — even exactly on the last
 successor of an otherwise-complete exploration — marks the result
-``truncated``.  Callers that map truncated explorations to ``UNKNOWN``
-verdicts (reachability) therefore keep their three-valued contracts.
+``truncated``; ``max_steps=0`` stops after the first generated edge.
+Callers that map truncated explorations to ``UNKNOWN`` verdicts
+(reachability) therefore keep their three-valued contracts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.errors import SearchError
 from repro.obs.metrics import resolve_metrics
@@ -75,13 +78,15 @@ from repro.obs.trace import get_tracer
 from repro.search.frontier import make_frontier
 from repro.search.interning import InternTable
 
+if TYPE_CHECKING:
+    from repro.search.options import ExplorationOptions
+
 __all__ = [
     "RETAIN_COUNTS",
     "RETAIN_FULL",
     "RETAIN_PARENTS",
     "RETENTION_MODES",
     "Engine",
-    "SearchLimits",
     "SearchResult",
     "iterate_paths",
 ]
@@ -90,21 +95,6 @@ RETAIN_FULL = "full"
 RETAIN_PARENTS = "parents-only"
 RETAIN_COUNTS = "counts-only"
 RETENTION_MODES = (RETAIN_FULL, RETAIN_PARENTS, RETAIN_COUNTS)
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    """Limits bounding an exploration.
-
-    Attributes:
-        max_depth: maximum number of edges along any explored path.
-        max_configurations: stop after this many distinct states.
-        max_steps: stop after this many edges have been generated.
-    """
-
-    max_depth: int = 6
-    max_configurations: int = 100_000
-    max_steps: int = 500_000
 
 
 @dataclass
@@ -369,54 +359,28 @@ def _record_exploration(registry, engine_kind: str, result: "SearchResult", seco
 class Engine:
     """Generic bounded explorer of a successor relation (see module docs).
 
-    ``metrics=`` accepts a :class:`repro.obs.MetricsRegistry`; ``None``
-    (the default) resolves to the process-wide registry at each call,
-    which is the no-op null registry unless the harness (or a caller)
-    installed one — so an uninstrumented exploration costs nothing.
-    Counters are flushed at exploration boundaries only, never per edge.
+    ``options`` supplies the limits, the frontier strategy (with its
+    heuristic) and the edge-retention mode; the execution-shape fields
+    are the sharded engine's and are ignored here.  ``metrics=`` accepts
+    a :class:`repro.obs.MetricsRegistry`; ``None`` (the default)
+    resolves to the process-wide registry at each call, which is the
+    no-op null registry unless the harness (or a caller) installed one —
+    so an uninstrumented exploration costs nothing.  Counters are
+    flushed at exploration boundaries only, never per edge.
     """
 
-    __slots__ = ("_successors", "_limits", "_strategy", "_heuristic", "_retention", "_metrics")
+    __slots__ = ("_successors", "options", "_metrics")
 
     def __init__(
         self,
         successors: Callable[[Any], Iterable],
+        options: ExplorationOptions,
         *,
-        limits: SearchLimits | None = None,
-        strategy: str = "bfs",
-        heuristic: Callable[[Any, int], Any] | None = None,
-        retention: str = RETAIN_FULL,
         metrics=None,
     ) -> None:
-        if retention not in RETENTION_MODES:
-            raise SearchError(
-                f"unknown edge-retention mode {retention!r}; expected one of {RETENTION_MODES}"
-            )
-        # Validate the strategy/heuristic combination eagerly.
-        make_frontier(strategy, heuristic)
         self._successors = successors
-        self._limits = limits or SearchLimits()
-        self._strategy = strategy
-        self._heuristic = heuristic
-        self._retention = retention
+        self.options = options
         self._metrics = metrics
-
-    @property
-    def limits(self) -> SearchLimits:
-        """The exploration limits."""
-        return self._limits
-
-    @property
-    def strategy(self) -> str:
-        """The frontier strategy name."""
-        return self._strategy
-
-    @property
-    def retention(self) -> str:
-        """The edge-retention mode."""
-        return self._retention
-
-    # -- exhaustive exploration ------------------------------------------------
 
     def explore(
         self,
@@ -428,70 +392,7 @@ class Engine:
         ``on_state`` is invoked with each newly discovered canonical
         state and its discovery depth (the initial state at depth 0).
         """
-        registry = resolve_metrics(self._metrics)
-        started = perf_counter()
-        with get_tracer().span("explore", engine="single", strategy=self._strategy):
-            result = self._explore(initial, on_state)
-        if registry.enabled:
-            _record_exploration(registry, "single", result, perf_counter() - started)
-        return result
-
-    def _explore(
-        self,
-        initial: Any,
-        on_state: Callable[[Any, int], None] | None,
-    ) -> SearchResult:
-        """The uninstrumented exploration loop behind :meth:`explore`."""
-        keep_edges = self._retention == RETAIN_FULL
-        keep_parents = self._retention != RETAIN_COUNTS
-        result = SearchResult(initial=initial, retention=self._retention)
-        table = result.interning
-        root_id, root, _ = table.intern(initial)
-        result.initial = root
-        if on_state:
-            on_state(root, 0)
-        frontier = make_frontier(self._strategy, self._heuristic)
-        frontier.push(root_id, 0, root)
-        depths = result.depths
-        depths[root_id] = 0
-        limits = self._limits
-        successors = self._successors
-        while frontier:
-            state_id, depth = frontier.pop()
-            if depth > depths[state_id]:
-                continue  # stale entry: the state was re-opened at a smaller depth
-            state = table.state_of(state_id)
-            if depth > result.depth_reached:
-                result.depth_reached = depth
-            if depth >= limits.max_depth:
-                continue
-            for edge in successors(state):
-                result.edge_count += 1
-                if keep_edges:
-                    result.edges.append(edge)
-                target_id, target, is_new = table.intern(edge.target)
-                if is_new:
-                    depths[target_id] = depth + 1
-                    if keep_parents:
-                        result.parents[target_id] = (state_id, edge)
-                    if on_state:
-                        on_state(target, depth + 1)
-                    frontier.push(target_id, depth + 1, target)
-                elif depth + 1 < depths[target_id]:
-                    # Non-FIFO strategies can first reach a state along a
-                    # long path (possibly at the depth horizon, where it
-                    # would never be expanded); re-open it at the smaller
-                    # depth so depth-bounded exploration stays complete.
-                    depths[target_id] = depth + 1
-                    if keep_parents:
-                        result.parents[target_id] = (state_id, edge)
-                    frontier.push(target_id, depth + 1, target)
-                if len(table) >= limits.max_configurations or result.edge_count >= limits.max_steps:
-                    result.truncated = True
-                    return result
-        return result
-
-    # -- early-exit predicate search -------------------------------------------
+        return self._instrumented("explore", initial, None, on_state)[1]
 
     def search(
         self,
@@ -513,35 +414,47 @@ class Engine:
         (the state satisfying the predicate terminates the search before
         it is interned, so it never fires the callback).
         """
+        return self._instrumented("search", initial, predicate, on_state)
+
+    def _instrumented(
+        self,
+        span: str,
+        initial: Any,
+        predicate: Callable[[Any], bool] | None,
+        on_state: Callable[[Any, int], None] | None,
+    ) -> tuple[list | None, SearchResult]:
+        """:meth:`_run` inside a trace span, flushing counters afterwards."""
         registry = resolve_metrics(self._metrics)
         started = perf_counter()
-        with get_tracer().span("search", engine="single", strategy=self._strategy):
-            path, result = self._search(initial, predicate, on_state)
+        with get_tracer().span(span, engine="single", strategy=self.options.strategy):
+            path, result = self._run(initial, predicate, on_state)
         if registry.enabled:
             _record_exploration(registry, "single", result, perf_counter() - started)
         return path, result
 
-    def _search(
+    def _run(
         self,
         initial: Any,
-        predicate: Callable[[Any], bool],
-        on_state: Callable[[Any, int], None] | None = None,
+        predicate: Callable[[Any], bool] | None,
+        on_state: Callable[[Any, int], None] | None,
     ) -> tuple[list | None, SearchResult]:
-        """The uninstrumented predicate-search loop behind :meth:`search`."""
-        keep_edges = self._retention == RETAIN_FULL
-        result = SearchResult(initial=initial, retention=self._retention)
+        """The uninstrumented loop: a ``None`` predicate explores exhaustively."""
+        options = self.options
+        keep_edges = options.retention == RETAIN_FULL
+        # Predicate search always keeps parent links: witnesses need them.
+        keep_parents = options.retention != RETAIN_COUNTS or predicate is not None
+        result = SearchResult(initial=initial, retention=options.retention)
         table = result.interning
         root_id, root, _ = table.intern(initial)
         result.initial = root
         if on_state:
             on_state(root, 0)
-        if predicate(root):
+        if predicate is not None and predicate(root):
             return [], result
-        frontier = make_frontier(self._strategy, self._heuristic)
+        frontier = make_frontier(options.strategy, options.heuristic)
         frontier.push(root_id, 0, root)
         depths = result.depths
         depths[root_id] = 0
-        limits = self._limits
         successors = self._successors
         while frontier:
             state_id, depth = frontier.pop()
@@ -550,51 +463,40 @@ class Engine:
             state = table.state_of(state_id)
             if depth > result.depth_reached:
                 result.depth_reached = depth
-            if depth >= limits.max_depth:
+            if depth >= options.max_depth:
                 continue
             for edge in successors(state):
                 result.edge_count += 1
                 if keep_edges:
                     result.edges.append(edge)
-                if predicate(edge.target):
+                if predicate is not None and predicate(edge.target):
                     path = result.path_to_id(state_id)
                     path.append(edge)
                     return path, result
                 target_id, target, is_new = table.intern(edge.target)
                 if is_new:
                     depths[target_id] = depth + 1
-                    result.parents[target_id] = (state_id, edge)
+                    if keep_parents:
+                        result.parents[target_id] = (state_id, edge)
                     if on_state:
                         on_state(target, depth + 1)
                     frontier.push(target_id, depth + 1, target)
                 elif depth + 1 < depths[target_id]:
+                    # Non-FIFO strategies can first reach a state along a
+                    # long path (possibly at the depth horizon, where it
+                    # would never be expanded); re-open it at the smaller
+                    # depth so depth-bounded exploration stays complete.
                     depths[target_id] = depth + 1
-                    result.parents[target_id] = (state_id, edge)
+                    if keep_parents:
+                        result.parents[target_id] = (state_id, edge)
                     frontier.push(target_id, depth + 1, target)
-                if len(table) >= limits.max_configurations or result.edge_count >= limits.max_steps:
+                if (
+                    len(table) >= options.max_configurations
+                    or result.edge_count >= options.max_steps
+                ):
                     result.truncated = True
                     return None, result
         return None, result
-
-    # -- path enumeration ------------------------------------------------------
-
-    def iterate_paths(
-        self,
-        initial: Any,
-        depth: int,
-        max_paths: int | None = None,
-    ) -> Iterator[tuple]:
-        """Enumerate maximal paths as tuples of edges (explicit-stack DFS).
-
-        A path is yielded when it reaches ``depth`` edges or ends in a
-        state with no successor (dead end).  The enumeration order is
-        depth-first in successor order — identical to the recursive seed
-        enumeration — but uses an explicit stack of iterators, so it is
-        not limited by the interpreter recursion limit and supports
-        depths in the thousands.  ``max_paths`` truncates the
-        enumeration after that many yielded paths.
-        """
-        return iterate_paths(initial, self._successors, depth, max_paths)
 
 
 def iterate_paths(
@@ -603,7 +505,16 @@ def iterate_paths(
     depth: int,
     max_paths: int | None = None,
 ) -> Iterator[tuple]:
-    """Module-level form of :meth:`Engine.iterate_paths` (see there)."""
+    """Enumerate maximal paths as tuples of edges (explicit-stack DFS).
+
+    A path is yielded when it reaches ``depth`` edges or ends in a
+    state with no successor (dead end).  The enumeration order is
+    depth-first in successor order — identical to the recursive seed
+    enumeration — but uses an explicit stack of iterators, so it is
+    not limited by the interpreter recursion limit and supports
+    depths in the thousands.  ``max_paths`` truncates the
+    enumeration after that many yielded paths.
+    """
     if depth < 0:
         raise SearchError("path enumeration depth must be non-negative")
     if max_paths is not None and max_paths <= 0:

@@ -22,8 +22,6 @@ import heapq
 from collections import deque
 from typing import Any, Callable
 
-from repro.errors import SearchError
-
 __all__ = [
     "BestFirstFrontier",
     "BFSFrontier",
@@ -119,18 +117,9 @@ class BestFirstFrontier(Frontier):
 def make_frontier(strategy: str, heuristic: Callable[[Any, int], Any] | None = None) -> Frontier:
     """Instantiate the frontier for a strategy name.
 
-    Raises:
-        ReproError: on an unknown strategy, or when ``best-first`` is
-            requested without a heuristic.
+    The name (and a best-first strategy's heuristic) is validated by
+    :class:`~repro.search.options.ExplorationOptions`.
     """
-    if strategy == "bfs":
-        return BFSFrontier()
-    if strategy == "dfs":
-        return DFSFrontier()
     if strategy == "best-first":
-        if heuristic is None:
-            raise SearchError("the best-first strategy requires a heuristic(state, depth)")
         return BestFirstFrontier(heuristic)
-    raise SearchError(
-        f"unknown frontier strategy {strategy!r}; expected 'bfs', 'dfs' or 'best-first'"
-    )
+    return DFSFrontier() if strategy == "dfs" else BFSFrontier()

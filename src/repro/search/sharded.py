@@ -47,8 +47,8 @@ any truncated partition makes the merged exploration truncated, which
 the reachability layer maps to ``UNKNOWN`` (never ``FAILS``).
 
 Sharding is inherently level-synchronous, so only the ``"bfs"`` frontier
-strategy is supported; requesting ``"dfs"``/``"best-first"`` with more
-than one shard or worker raises :class:`~repro.errors.SearchError`.
+strategy is supported: a :class:`ShardedEngine` given options asking for
+``"dfs"``/``"best-first"`` raises :class:`~repro.errors.SearchError`.
 
 Expansion backends live for the **engine's lifetime** (not one fork
 cycle per ``explore()`` call), and an engine given a
@@ -69,14 +69,9 @@ from typing import Any, Callable, Iterable
 from repro.errors import SearchError
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, resolve_metrics
 from repro.obs.trace import get_tracer
-from repro.search.engine import (
-    RETAIN_COUNTS,
-    RETAIN_FULL,
-    RETENTION_MODES,
-    SearchLimits,
-    SearchResult,
-)
+from repro.search.engine import RETAIN_COUNTS, RETAIN_FULL, SearchResult
 from repro.search.interning import InternTable
+from repro.search.options import ExplorationOptions
 from repro.search.shm_interning import SharedInternTable, shared_memory_available
 
 __all__ = [
@@ -155,8 +150,6 @@ class ShardFrontiers:
     __slots__ = ("_queues", "steals")
 
     def __init__(self, shards: int) -> None:
-        if shards < 1:
-            raise SearchError("the number of shards must be positive")
         self._queues: list[deque] = [deque() for _ in range(shards)]
         self.steals = 0
 
@@ -512,19 +505,20 @@ class LevelRun:
 def run_levels(
     transport,
     initial: Any,
+    options: ExplorationOptions,
     *,
-    limits: SearchLimits,
-    retention: str,
     predicate: Callable[[Any], bool] | None = None,
     on_state: Callable[[Any, int], None] | None = None,
     record=None,
 ) -> LevelRun:
     """Level-synchronous BFS over ``transport``'s partitions (see module docs).
 
-    ``record`` is the enabled metrics registry or ``None``; counters are
-    flushed once per level, never per edge.  The explored states stay on
-    the partitions (see :func:`collect_partials`).
+    ``options`` supplies the limits and the retention mode.  ``record``
+    is the enabled metrics registry or ``None``; counters are flushed
+    once per level, never per edge.  The explored states stay on the
+    partitions (see :func:`collect_partials`).
     """
+    retention = options.retention
     # Predicate search always keeps parent links (witnesses), as Engine.search does.
     keep_parents = retention != RETAIN_COUNTS or predicate is not None
     transport.broadcast(
@@ -545,7 +539,7 @@ def run_levels(
     depth = 0
     while level:
         run.depth_reached = depth
-        if depth >= limits.max_depth:
+        if depth >= options.max_depth:
             break
         if record is not None:
             record.counter("sharded_levels_total").inc()
@@ -557,7 +551,7 @@ def run_levels(
             expanded = perf_counter()
             record.histogram("sharded_level_seconds", phase="expand").observe(expanded - started)
         level = _next_level(
-            transport, level, expansions, depth, run, limits, predicate, on_state,
+            transport, level, expansions, depth, run, options, predicate, on_state,
             retention == RETAIN_FULL, record,
         )
         if record is not None:
@@ -569,13 +563,18 @@ def run_levels(
 
 
 def _next_level(
-    transport, level, expansions, depth, run, limits, predicate, on_state, keep_edges, record
+    transport, level, expansions, depth, run, options, predicate, on_state, keep_edges, record
 ) -> list[tuple[int, int]]:
     """Walk, probe and commit one expanded level; ``[]`` when the run stops here."""
     count = transport.count
     potential = sum(len(expansions.get(ref, ())) for ref in level)
+    # The walk position of the edge that reaches max_steps; single-shard
+    # BFS checks the limit after counting an edge, so with max_steps=0
+    # it still generates (and stops after) the first one.
     edge_cut = (
-        limits.max_steps - run.edges - 1 if run.edges + potential >= limits.max_steps else None
+        max(0, options.max_steps - run.edges - 1)
+        if run.edges + potential >= options.max_steps
+        else None
     )
     # The walk ends at the earliest stop already known: single-shard BFS
     # never counts, keeps or interns an edge past a hit or the edge cut.
@@ -595,7 +594,7 @@ def _next_level(
 
     cut = len(walk) - 1
     stop = None if hit is None else "hit"
-    if run.states + len(walk) >= limits.max_configurations:
+    if run.states + len(walk) >= options.max_configurations:
         targets: list[list] = [[] for _ in range(count)]
         for position, (_, edge, owner) in enumerate(walk):
             if position != hit:
@@ -608,10 +607,13 @@ def _next_level(
             if position == hit:
                 break
             states += position in news_at
-            if states >= limits.max_configurations or run.edges + position + 1 >= limits.max_steps:
+            if (
+                states >= options.max_configurations
+                or run.edges + position + 1 >= options.max_steps
+            ):
                 cut, stop = position, "truncated"
                 break
-    elif stop is None and walk and run.edges + len(walk) >= limits.max_steps:
+    elif stop is None and walk and run.edges + len(walk) >= options.max_steps:
         stop = "truncated"
 
     shares = [
@@ -660,17 +662,15 @@ def collect_partials(transport, run: LevelRun) -> list[SearchResult]:
 def search_partitions(
     transport,
     initial: Any,
-    predicate: Callable[[Any], bool] | None = None,
+    options: ExplorationOptions,
     *,
-    limits: SearchLimits,
-    retention: str,
+    predicate: Callable[[Any], bool] | None = None,
     on_state: Callable[[Any, int], None] | None = None,
     record=None,
 ) -> tuple[list | None, SearchResult]:
     """:func:`run_levels`, then the merged partials: ``(witness, merged)``."""
     run = run_levels(
-        transport, initial, limits=limits, retention=retention,
-        predicate=predicate, on_state=on_state, record=record,
+        transport, initial, options, predicate=predicate, on_state=on_state, record=record
     )
     merged = SearchResult.merge_all(collect_partials(transport, run))
     merged.initial = merged.interning.canonical(initial)
@@ -693,43 +693,39 @@ class ShardedEngine:
             ``state -> iterable of edges`` (objects with
             ``.source``/``.target``).  Must be pure — the engine may
             enumerate successors speculatively past a limit.
-        limits: depth/state/edge limits (:class:`SearchLimits`).
-        shards: number of hash partitions / per-level frontiers.
-        workers: expansion processes; ``1`` selects the serial backend.
-        retention: edge-retention mode (as for :class:`Engine`).
-        strategy: must be ``"bfs"`` — sharding is level-synchronous.
+        options: the :class:`~repro.search.options.ExplorationOptions`
+            of every exploration: the limits, the retention mode, the
+            strategy (must be ``"bfs"`` — sharding is level-synchronous)
+            and the execution shape.  ``shards`` hash partitions hold the
+            per-level frontiers; ``workers > 1`` expands on worker
+            processes (``1`` selects the serial backend);
+            ``shared_interning`` routes process-backed expansion traffic
+            through a shared-memory state store
+            (:mod:`repro.search.shm_interning`) so workers exchange
+            intern ids instead of pickled states — ``None`` (auto) turns
+            it on whenever expansion runs on worker processes and shared
+            memory is available, ``False`` forces pickled traffic, and
+            results are bit-identical either way.  With ``nodes > 1`` the
+            exploration runs **two-level distributed**
+            (:mod:`repro.distributed`): the same level loop runs over
+            ``nodes`` node agents reached through ``transport``
+            (``None``/``"tcp"`` forks a localhost TCP cluster owned by
+            the engine; a :class:`repro.distributed.Coordinator` with
+            already-accepted agents is borrowed and left connected on
+            :meth:`close`), and ``shards``/``workers``/
+            ``shared_interning`` become each node's *local* expansion
+            configuration.
         batch_size: states per expansion task.
         pool: a :class:`repro.runtime.WorkerPool` to borrow warm
             expansion workers from.  Leased workers survive the engine
             (they stay warm in the pool); without a pool the engine owns
             its backend (:func:`owned_expansion_backend`), created once
             on first use and reused by every later exploration until
-            :meth:`close`.
+            :meth:`close`.  Ignored by distributed explorations (node
+            agents own their expansion workers).
         pool_key: worker-pool context key identifying the successor
             function's semantics (defaults to the callable's identity).
             Engines sharing a key share the same warm workers.
-        shared_interning: route expansion traffic through a
-            shared-memory state store (:mod:`repro.search.shm_interning`)
-            so workers exchange intern ids instead of pickled states.
-            Default ``None`` (auto): on whenever expansion runs on
-            worker *processes* — pooled or engine-owned — and shared
-            memory is available; always off for the in-process serial
-            fallback.  ``True`` requests it (silently degrading where
-            impossible), ``False`` forces classic pickled traffic.
-            Results are bit-identical either way.
-        nodes: with ``nodes > 1`` the exploration runs **two-level
-            distributed** (:mod:`repro.distributed`): the same level
-            loop runs over ``nodes`` TCP node agents, each owning one
-            partition; ``shards``/``workers``/``shared_interning``
-            become each node's *local* expansion configuration, and the
-            merged result stays bit-identical to the single-shard
-            engine's.  A ``pool=`` is ignored in this mode (node agents
-            own their expansion workers).
-        transport: how node agents are reached when ``nodes > 1`` —
-            ``None``/``"tcp"`` forks a localhost TCP cluster owned by
-            the engine; a :class:`repro.distributed.Coordinator` with
-            already-accepted agents is borrowed instead (and left
-            connected on :meth:`close`).
         context: a picklable
             :class:`~repro.distributed.context.ExplorationContext`
             shipped to *external* node agents in their lease (the
@@ -751,17 +747,11 @@ class ShardedEngine:
 
     __slots__ = (
         "_successors",
-        "_limits",
-        "_shards",
-        "_workers",
-        "_retention",
+        "options",
         "_batch_size",
         "_pool",
         "_pool_key",
-        "_shared_interning",
         "_backend_instance",
-        "_nodes",
-        "_transport",
         "_context",
         "_distributed_instance",
         "_metrics",
@@ -770,81 +760,30 @@ class ShardedEngine:
     def __init__(
         self,
         successors: Callable[[Any], Iterable],
+        options: ExplorationOptions,
         *,
-        limits: SearchLimits | None = None,
-        shards: int = 1,
-        workers: int = 1,
-        retention: str = RETAIN_FULL,
-        strategy: str = "bfs",
         batch_size: int = DEFAULT_BATCH_SIZE,
         pool=None,
         pool_key: Any = None,
-        shared_interning: bool | None = None,
-        nodes: int = 1,
-        transport: Any = None,
         context: Any = None,
         metrics=None,
     ) -> None:
-        if retention not in RETENTION_MODES:
-            raise SearchError(
-                f"unknown edge-retention mode {retention!r}; expected one of {RETENTION_MODES}"
-            )
-        if strategy != "bfs":
+        if options.strategy != "bfs":
             raise SearchError(
                 "sharded exploration is level-synchronous and supports only the 'bfs' "
-                f"strategy (got {strategy!r})"
+                f"strategy (got {options.strategy!r})"
             )
-        if shards < 1 or workers < 1:
-            raise SearchError("shards and workers must both be positive")
-        if nodes < 1:
-            raise SearchError("the node count must be positive")
         if batch_size < 1:
             raise SearchError("batch_size must be positive")
         self._successors = successors
-        self._limits = limits or SearchLimits()
-        self._shards = shards
-        self._workers = workers
-        self._retention = retention
+        self.options = options
         self._batch_size = batch_size
         self._pool = pool
         self._pool_key = pool_key
-        self._shared_interning = shared_interning
         self._backend_instance = None
-        self._nodes = nodes
-        self._transport = transport
         self._context = context
         self._distributed_instance = None
         self._metrics = metrics
-
-    @property
-    def limits(self) -> SearchLimits:
-        """The exploration limits."""
-        return self._limits
-
-    @property
-    def shards(self) -> int:
-        """Number of hash partitions."""
-        return self._shards
-
-    @property
-    def workers(self) -> int:
-        """Number of expansion workers."""
-        return self._workers
-
-    @property
-    def retention(self) -> str:
-        """The edge-retention mode."""
-        return self._retention
-
-    @property
-    def strategy(self) -> str:
-        """Always ``"bfs"`` (level-synchronous sharding)."""
-        return "bfs"
-
-    @property
-    def nodes(self) -> int:
-        """Number of distributed node agents (1 = this process only)."""
-        return self._nodes
 
     @property
     def backend_name(self) -> str:
@@ -855,15 +794,16 @@ class ShardedEngine:
         :class:`repro.runtime.WorkerPool` lease and ``"distributed"``
         for node agents.
         """
+        workers = self.options.workers
         if self._distributed_active():
             return "distributed"
         if self._pool is None:
-            if self._workers > 1 and process_backend_available():
+            if workers > 1 and process_backend_available():
                 return "process"
             return SerialExpansionBackend.name
         if self._backend_instance is not None:
             return self._backend_instance.name
-        return "pooled" if self._pool.uses_processes(self._workers) else "pooled-serial"
+        return "pooled" if self._pool.uses_processes(workers) else "pooled-serial"
 
     @property
     def shared_interning(self) -> bool:
@@ -875,21 +815,22 @@ class ShardedEngine:
         distributed engine this is the per-*node* prediction (each node
         decides exactly as a node-local engine would).
         """
+        requested, workers = self.options.shared_interning, self.options.workers
         if self._distributed_active():
             return (
-                self._shared_interning is not False
+                requested is not False
                 and shared_memory_available()
-                and self._workers > 1
+                and workers > 1
                 and process_backend_available()
             )
         backend = self._backend_instance
         if backend is not None:
             return getattr(backend, "shared_store", None) is not None
-        if self._shared_interning is False or not shared_memory_available():
+        if requested is False or not shared_memory_available():
             return False
         if self._pool is not None:
-            return self._pool.uses_processes(self._workers)
-        return self._workers > 1 and process_backend_available()
+            return self._pool.uses_processes(workers)
+        return workers > 1 and process_backend_available()
 
     def _backend(self):
         """The engine's expansion backend, created once and then reused.
@@ -898,16 +839,17 @@ class ShardedEngine:
         processes warm across successive explorations.
         """
         if self._backend_instance is None:
+            workers, shared_interning = self.options.workers, self.options.shared_interning
             if self._pool is not None:
                 self._backend_instance = self._pool.expansion_backend(
                     self._successors,
                     key=self._pool_key,
-                    workers=self._workers,
-                    shared_interning=self._shared_interning,
+                    workers=workers,
+                    shared_interning=shared_interning,
                 )
             else:
                 self._backend_instance = owned_expansion_backend(
-                    self._successors, self._workers, self._shared_interning
+                    self._successors, workers, shared_interning
                 )
         return self._backend_instance
 
@@ -922,9 +864,9 @@ class ShardedEngine:
         the serial expansion fallback.  An external coordinator's agents
         already exist, so that path never degrades.
         """
-        if self._nodes <= 1:
+        if self.options.nodes <= 1:
             return False
-        if self._transport not in (None, "tcp"):
+        if self.options.transport not in (None, "tcp"):
             return True
         return process_backend_available()
 
@@ -940,14 +882,8 @@ class ShardedEngine:
 
             self._distributed_instance = DistributedEngine(
                 self._successors,
-                nodes=self._nodes,
-                limits=self._limits,
-                retention=self._retention,
-                local_shards=self._shards,
-                local_workers=self._workers,
+                self.options,
                 batch_size=self._batch_size,
-                shared_interning=self._shared_interning,
-                transport=self._transport,
                 context=self._context,
                 metrics=self._metrics,
             )
@@ -1006,9 +942,8 @@ class ShardedEngine:
                 "explore_shards() is single-node only: distributed partials live on "
                 "their node agents (use explore(), or DistributedEngine.explore_summary)"
             )
-        transport = InProcessTransport(self._backend(), self._shards, self._batch_size)
-        run = run_levels(transport, initial, limits=self._limits, retention=self._retention)
-        return collect_partials(transport, run)
+        transport = InProcessTransport(self._backend(), self.options.shards, self._batch_size)
+        return collect_partials(transport, run_levels(transport, initial, self.options))
 
     def search(
         self,
@@ -1040,13 +975,12 @@ class ShardedEngine:
         registry = resolve_metrics(self._metrics)
         record = registry if registry.enabled else None
         started = perf_counter()
-        with get_tracer().span(span, engine="sharded", shards=self._shards):
-            transport = InProcessTransport(
-                self._backend(), self._shards, self._batch_size, record
-            )
+        shards = self.options.shards
+        with get_tracer().span(span, engine="sharded", shards=shards):
+            transport = InProcessTransport(self._backend(), shards, self._batch_size, record)
             path, merged = search_partitions(
-                transport, initial, predicate, limits=self._limits,
-                retention=self._retention, on_state=on_state, record=record,
+                transport, initial, self.options,
+                predicate=predicate, on_state=on_state, record=record,
             )
         if record is not None:
             record.counter("engine_explorations_total", engine="sharded").inc()

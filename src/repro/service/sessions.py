@@ -20,7 +20,6 @@ from __future__ import annotations
 import threading
 from typing import Callable, Mapping
 
-from repro.api.options import ExplorationOptions
 from repro.api.session import Session
 from repro.casestudies import (
     booking_agency_system,
@@ -33,7 +32,7 @@ from repro.errors import AdmissionError, ServiceError
 from repro.fol.parser import parse_query
 from repro.fol.syntax import Query
 from repro.obs.metrics import resolve_metrics
-from repro.search.engine import RETENTION_MODES
+from repro.search import RETENTION_MODES, ExplorationOptions
 
 __all__ = ["DEFAULT_CASE_STUDIES", "SessionManager", "int_field"]
 
@@ -77,8 +76,6 @@ class SessionManager:
             :class:`~repro.errors.AdmissionError` (HTTP 429), never
             queued (a saturated verification service should shed load
             visibly, not build invisible backlog).
-        options: default exploration options for requests that do not
-            override knobs.
         store: the session's result store (path /
             :class:`repro.store.ResultStore` / ``False`` / ``None`` for
             ``REPRO_STORE``).
@@ -92,7 +89,6 @@ class SessionManager:
         *,
         case_studies: Mapping[str, Callable[[], DMS]] | None = None,
         max_concurrent: int = 8,
-        options: ExplorationOptions | None = None,
         store=None,
         pool_workers: int | None = None,
         metrics=None,
@@ -102,9 +98,7 @@ class SessionManager:
         self._factories = dict(case_studies or DEFAULT_CASE_STUDIES)
         self._systems: dict[str, DMS] = {}
         self._metrics = metrics
-        self.session = Session(
-            options=options, store=store, pool_workers=pool_workers, metrics=metrics
-        )
+        self.session = Session(store=store, pool_workers=pool_workers, metrics=metrics)
         self._max_concurrent = max_concurrent
         self._guard = threading.Lock()
         self._active = 0

@@ -97,8 +97,7 @@ def cached_compute(
     graph: str,
     parameters: Mapping,
     compute: Callable[[Callable | None], object],
-    capture_base: Callable[[object], Iterable] | None = None,
-    enumerate_subset: Callable[[object, tuple], Iterable] | None = None,
+    successors: Callable[..., Iterable] | None = None,
     cacheable: bool = True,
 ) -> tuple[object, StoreOutcome]:
     """Serve ``compute`` through the content-addressed store (see module docs).
@@ -113,11 +112,12 @@ def cached_compute(
             ``successors`` is ``None`` (cold, no capture) or a recording
             successor function the computation must install on the
             engine's single-shard path.
-        capture_base: the cold successor function — pass it exactly when
-            the computation runs single-shard in-process (the only path
-            where a successor override reaches the engine).
-        enumerate_subset: the semantics' per-action-subset enumeration;
-            enables delta verification from a stored subgraph.
+        successors: the cold successor function
+            ``successors(configuration, actions=None)``, whose optional
+            action subset enables delta verification from a stored
+            subgraph.  Pass it exactly when the computation runs
+            single-shard in-process (the only path where a successor
+            override reaches the engine); ``None`` skips capture.
         cacheable: ``False`` bypasses the store (e.g. a heuristic-driven
             search that cannot be content-addressed).
 
@@ -148,20 +148,17 @@ def cached_compute(
         return cached, outcome
     tracer.event("store", outcome="miss", kind=KIND_RESULT, graph=graph)
     recorder = None
-    successors: Callable | None = None
     delta: DeltaSuccessors | None = None
-    if capture_base is not None:
-        base = capture_base
-        if enumerate_subset is not None:
-            memo = resolved.delta_base(graph, base_digest)
-            if isinstance(memo, Subgraph):
-                delta = DeltaSuccessors(system, memo, enumerate_subset)
-                base = delta
-                outcome.delta_base_used = True
+    if successors is not None:
+        base = successors
+        memo = resolved.delta_base(graph, base_digest)
+        if isinstance(memo, Subgraph):
+            delta = DeltaSuccessors(system, memo, successors)
+            base = delta
+            outcome.delta_base_used = True
         recorder = SubgraphRecorder(system, base)
-        successors = recorder
         outcome.captured = True
-    payload = compute(successors)
+    payload = compute(recorder)
     if delta is not None:
         outcome.fresh_states = delta.fresh_states
         outcome.reused_states = delta.reused_states

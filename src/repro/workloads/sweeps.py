@@ -92,23 +92,21 @@ def exploration_mode_sweep(
     modes shrink edge retention as documented.  ``parallel`` runs the
     grid points concurrently as in :func:`sweep`.
     """
-    from repro.errors import SearchError
-    from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+    from repro.recency.explorer import RecencyExplorer
+    from repro.search import ExplorationOptions
 
-    if "best-first" in strategies and heuristic is None:
-        raise SearchError(
-            "exploration_mode_sweep: the 'best-first' strategy requires a "
-            "heuristic(configuration, depth)"
+    # Built before the grid runs, so invalid modes fail here, not in a point.
+    options = {
+        (strategy, retention): ExplorationOptions(
+            max_depth=max_depth, strategy=strategy, heuristic=heuristic, retention=retention
         )
+        for strategy in strategies
+        for retention in retentions
+    }
 
     def measure(parameters: dict) -> dict:
         explorer = RecencyExplorer(
-            system,
-            bound,
-            RecencyExplorationLimits(max_depth=max_depth),
-            strategy=parameters["strategy"],
-            heuristic=heuristic,
-            retention=parameters["retention"],
+            system, bound, options[parameters["strategy"], parameters["retention"]]
         )
         started = time.perf_counter()
         result = explorer.explore()

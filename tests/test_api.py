@@ -28,7 +28,7 @@ from repro.errors import ModelCheckingError, QueryTimeoutError, SessionError
 from repro.fol.evaluator import evaluate_sentence
 from repro.fol.parser import parse_query
 from repro.modelcheck.result import Verdict
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.search import process_backend_available
 
 needs_fork = pytest.mark.skipif(
@@ -68,7 +68,7 @@ def test_facade_matches_query_reachable_bounded(booking):
     # the recency explorer: the facade reports the same counts, and turns
     # a search cut at the depth limit into UNKNOWN, never FAILS.
     condition = parse_query(SUBMITTED)
-    explorer = RecencyExplorer(booking, 2, RecencyExplorationLimits(max_depth=4))
+    explorer = RecencyExplorer(booking, 2, ExplorationOptions(max_depth=4, retention="full"))
     witness, stats = explorer.find_configuration(
         lambda configuration: evaluate_sentence(condition, configuration.instance)
     )
@@ -104,18 +104,24 @@ def test_on_state_streams_discovery_order(booking):
 
 
 def test_options_from_limits_round_trips():
-    # Options built from a limits object's fields give those limits back.
-    for limits in (
-        RecencyExplorationLimits(max_depth=3, max_configurations=10, max_steps=20),
-        RecencyExplorationLimits(max_depth=5, max_configurations=7, max_steps=9),
+    # Options rebuilt from their result fields — as isolated workers
+    # rebuild them — give the same limits, strategy and retention back.
+    for fields in (
+        {"max_depth": 3, "max_configurations": 10, "max_steps": 20},
+        {"max_depth": 5, "max_configurations": 7, "max_steps": 9, "strategy": "dfs"},
+        {"max_depth": 2, "max_steps": 0, "retention": "counts-only"},
     ):
-        options = ExplorationOptions(
-            max_depth=limits.max_depth,
-            max_configurations=limits.max_configurations,
-            max_steps=limits.max_steps,
-        )
-        assert options.recency_limits() == limits
-    assert ExplorationOptions().recency_limits() == RecencyExplorationLimits()
+        options = ExplorationOptions(**fields)
+        assert ExplorationOptions(**options.result_fields()) == options
+        assert options.result_fields().items() >= fields.items()
+    assert ExplorationOptions().result_fields() == {
+        "max_depth": 6,
+        "max_configurations": 100_000,
+        "max_steps": 500_000,
+        "strategy": "bfs",
+        "retention": "parents-only",
+    }
+    assert tuple(ExplorationOptions().result_fields()) == ExplorationOptions.RESULT_FIELDS
 
 
 def test_options_replace_and_single_shard():

@@ -12,7 +12,8 @@ from repro.casestudies.students import students_system
 from repro.casestudies.warehouse import warehouse_base_system, warehouse_system
 from repro.dms.semantics import enumerate_successors, execute_labels, initial_configuration
 from repro.fol.evaluator import satisfies
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
+from repro.search import ExplorationOptions
 
 
 def test_example31_system_shape():
@@ -108,7 +109,9 @@ def test_booking_onhold_and_resume_lifecycle():
 def test_booking_bounded_exploration_is_nontrivial():
     system = booking_agency_system()
     explorer = RecencyExplorer(
-        system, bound=3, limits=RecencyExplorationLimits(max_depth=4, max_configurations=2000)
+        system,
+        bound=3,
+        options=ExplorationOptions(max_depth=4, max_configurations=2000, retention="full"),
     )
     result = explorer.explore()
     assert result.configuration_count > 50

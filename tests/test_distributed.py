@@ -36,7 +36,7 @@ from repro.distributed import (
     RecencyContext,
 )
 from repro.errors import DistributedError, SearchError
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors, initial_recency_configuration
 from repro.search import (
     RETAIN_COUNTS,
@@ -44,7 +44,6 @@ from repro.search import (
     RETAIN_PARENTS,
     RETENTION_MODES,
     Engine,
-    SearchLimits,
     SearchResult,
     ShardedEngine,
     process_backend_available,
@@ -67,6 +66,11 @@ class Node:
 class Edge:
     source: Node
     target: Node
+
+
+def retain_full(**fields) -> ExplorationOptions:
+    """Options that keep every generated edge (``retention="full"``)."""
+    return ExplorationOptions(retention=RETAIN_FULL, **fields)
 
 
 def lattice_successors(node: Node):
@@ -101,11 +105,9 @@ def assert_bit_identical(distributed: SearchResult, reference: SearchResult) -> 
 @pytest.mark.parametrize("nodes", (2, 3))
 @pytest.mark.parametrize("retention", RETENTION_MODES)
 def test_distributed_explore_bit_identical(nodes, retention):
-    limits = SearchLimits(max_depth=7)
-    reference = Engine(lattice_successors, limits=limits, retention=retention).explore(Node(0))
-    with DistributedEngine(
-        lattice_successors, nodes=nodes, limits=limits, retention=retention
-    ) as engine:
+    options = ExplorationOptions(max_depth=7, retention=retention)
+    reference = Engine(lattice_successors, options).explore(Node(0))
+    with DistributedEngine(lattice_successors, options.replace(nodes=nodes)) as engine:
         merged = engine.explore(Node(0))
     assert_bit_identical(merged, reference)
     if retention == RETAIN_FULL:
@@ -115,15 +117,13 @@ def test_distributed_explore_bit_identical(nodes, retention):
 
 @needs_fork
 def test_distributed_discovery_order_is_single_shard_order():
-    limits = SearchLimits(max_depth=7)
+    options = ExplorationOptions(max_depth=7, retention=RETAIN_COUNTS)
     reference_order: list = []
-    Engine(lattice_successors, limits=limits, retention=RETAIN_COUNTS).explore(
+    Engine(lattice_successors, options).explore(
         Node(0), on_state=lambda state, depth: reference_order.append((state, depth))
     )
     distributed_order: list = []
-    with DistributedEngine(
-        lattice_successors, nodes=2, limits=limits, retention=RETAIN_COUNTS
-    ) as engine:
+    with DistributedEngine(lattice_successors, options.replace(nodes=2)) as engine:
         engine.explore(
             Node(0), on_state=lambda state, depth: distributed_order.append((state, depth))
         )
@@ -132,29 +132,30 @@ def test_distributed_discovery_order_is_single_shard_order():
 
 @needs_fork
 @pytest.mark.parametrize(
-    "limits",
+    "options",
     (
-        SearchLimits(max_depth=7, max_configurations=23),
-        SearchLimits(max_depth=7, max_steps=31),
-        SearchLimits(max_depth=7, max_configurations=10**6, max_steps=10**6),
+        ExplorationOptions(max_depth=7, max_configurations=23, retention=RETAIN_COUNTS),
+        ExplorationOptions(max_depth=7, max_steps=31, retention=RETAIN_COUNTS),
+        ExplorationOptions(
+            max_depth=7, max_configurations=10**6, max_steps=10**6, retention=RETAIN_COUNTS
+        ),
+        ExplorationOptions(max_depth=7, max_steps=0, retention=RETAIN_COUNTS),
     ),
-    ids=("state-limit", "edge-limit", "unbounded"),
+    ids=("state-limit", "edge-limit", "unbounded", "zero-edge-limit"),
 )
-def test_distributed_truncation_cuts_match(limits):
-    reference = Engine(lattice_successors, limits=limits, retention=RETAIN_COUNTS).explore(Node(0))
-    with DistributedEngine(
-        lattice_successors, nodes=2, limits=limits, retention=RETAIN_COUNTS
-    ) as engine:
+def test_distributed_truncation_cuts_match(options):
+    reference = Engine(lattice_successors, options).explore(Node(0))
+    with DistributedEngine(lattice_successors, options.replace(nodes=2)) as engine:
         merged = engine.explore(Node(0))
     assert_bit_identical(merged, reference)
 
 
 @needs_fork
 def test_distributed_search_witness_parity():
-    limits = SearchLimits(max_depth=7)
+    options = retain_full(max_depth=7)
     target = lambda node: node.key == 83  # noqa: E731
-    path, reference = Engine(lattice_successors, limits=limits).search(Node(0), target)
-    with DistributedEngine(lattice_successors, nodes=2, limits=limits) as engine:
+    path, reference = Engine(lattice_successors, options).search(Node(0), target)
+    with DistributedEngine(lattice_successors, options.replace(nodes=2)) as engine:
         distributed_path, merged = engine.search(Node(0), target)
     assert path is not None and distributed_path is not None
     assert [(e.source, e.target) for e in distributed_path] == [
@@ -164,8 +165,8 @@ def test_distributed_search_witness_parity():
 
     # Root hit and miss behave like the single-shard engine too.
     never = lambda node: node.key == -1  # noqa: E731
-    _, exhaustive = Engine(lattice_successors, limits=limits).search(Node(0), never)
-    with DistributedEngine(lattice_successors, nodes=2, limits=limits) as engine:
+    _, exhaustive = Engine(lattice_successors, options).search(Node(0), never)
+    with DistributedEngine(lattice_successors, options.replace(nodes=2)) as engine:
         root_path, _ = engine.search(Node(0), lambda node: node.key == 0)
         assert root_path == []
         missing_path, stats = engine.search(Node(0), never)
@@ -179,10 +180,10 @@ def test_distributed_small_batches_exercise_stealing():
     # One-state chunks drain the balanced queues unevenly, so the idle
     # node robs the straggler's tail through the fetch path; the replay
     # keeps the result independent of who expanded what.
-    limits = SearchLimits(max_depth=7)
-    reference = Engine(lattice_successors, limits=limits, retention=RETAIN_PARENTS).explore(Node(0))
+    options = ExplorationOptions(max_depth=7, retention=RETAIN_PARENTS)
+    reference = Engine(lattice_successors, options).explore(Node(0))
     with DistributedEngine(
-        lattice_successors, nodes=2, limits=limits, retention=RETAIN_PARENTS, batch_size=1
+        lattice_successors, options.replace(nodes=2), batch_size=1
     ) as engine:
         merged = engine.explore(Node(0))
     assert_bit_identical(merged, reference)
@@ -190,10 +191,8 @@ def test_distributed_small_batches_exercise_stealing():
 
 @needs_fork
 def test_distributed_engine_is_reusable_across_explorations():
-    limits = SearchLimits(max_depth=6)
-    with DistributedEngine(
-        lattice_successors, nodes=2, limits=limits, retention=RETAIN_COUNTS
-    ) as engine:
+    options = ExplorationOptions(max_depth=6, retention=RETAIN_COUNTS, nodes=2)
+    with DistributedEngine(lattice_successors, options) as engine:
         first = engine.explore(Node(0))
         second = engine.explore(Node(0))
     assert set(first.states()) == set(second.states())
@@ -202,11 +201,9 @@ def test_distributed_engine_is_reusable_across_explorations():
 
 @needs_fork
 def test_distributed_summary_keeps_states_node_resident():
-    limits = SearchLimits(max_depth=7)
-    reference = Engine(lattice_successors, limits=limits, retention=RETAIN_COUNTS).explore(Node(0))
-    with DistributedEngine(
-        lattice_successors, nodes=2, limits=limits, retention=RETAIN_COUNTS
-    ) as engine:
+    options = ExplorationOptions(max_depth=7, retention=RETAIN_COUNTS)
+    reference = Engine(lattice_successors, options).explore(Node(0))
+    with DistributedEngine(lattice_successors, options.replace(nodes=2)) as engine:
         summary = engine.explore_summary(Node(0))
     assert summary.states == reference.state_count
     assert summary.edges == reference.edge_count
@@ -219,9 +216,10 @@ def test_distributed_summary_keeps_states_node_resident():
 
 @needs_fork
 def test_crash_respawn_reruns_bit_identically():
-    limits = SearchLimits(max_depth=6)
     engine = DistributedEngine(
-        lattice_successors, nodes=2, limits=limits, retention=RETAIN_COUNTS, retries=2
+        lattice_successors,
+        ExplorationOptions(max_depth=6, retention=RETAIN_COUNTS, nodes=2),
+        retries=2,
     )
     try:
         first = engine.explore(Node(0))
@@ -237,9 +235,7 @@ def test_crash_respawn_reruns_bit_identically():
 
 @needs_fork
 def test_crash_without_retries_raises():
-    engine = DistributedEngine(
-        lattice_successors, nodes=2, limits=SearchLimits(max_depth=6), retries=0
-    )
+    engine = DistributedEngine(lattice_successors, retain_full(max_depth=6, nodes=2), retries=0)
     try:
         engine.explore(Node(0))
         os.kill(engine._launcher.agent_pids()[0], signal.SIGKILL)
@@ -255,22 +251,22 @@ def test_crash_without_retries_raises():
 
 @needs_fork
 def test_sharded_engine_nodes_knob_matches_single_shard():
-    limits = SearchLimits(max_depth=7)
-    reference = Engine(lattice_successors, limits=limits, retention=RETAIN_PARENTS).explore(Node(0))
-    with ShardedEngine(
-        lattice_successors, limits=limits, retention=RETAIN_PARENTS, nodes=2, shards=2
-    ) as engine:
+    options = ExplorationOptions(max_depth=7, retention=RETAIN_PARENTS)
+    reference = Engine(lattice_successors, options).explore(Node(0))
+    with ShardedEngine(lattice_successors, options.replace(nodes=2, shards=2)) as engine:
         assert engine.backend_name == "distributed"
-        assert engine.nodes == 2
+        assert engine.options.nodes == 2
         merged = engine.explore(Node(0))
     assert_bit_identical(merged, reference)
 
 
 def test_sharded_engine_rejects_non_bfs_and_partials_with_nodes():
     with pytest.raises(SearchError):
-        ShardedEngine(lattice_successors, nodes=2, strategy="dfs")
+        ShardedEngine(lattice_successors, retain_full(nodes=2, strategy="dfs"))
+    with pytest.raises(SearchError):
+        DistributedEngine(lattice_successors, retain_full(nodes=2, strategy="dfs"))
     if process_backend_available():
-        engine = ShardedEngine(lattice_successors, nodes=2)
+        engine = ShardedEngine(lattice_successors, retain_full(nodes=2))
         with pytest.raises(SearchError):
             engine.explore_shards(Node(0))
         engine.close()
@@ -280,11 +276,9 @@ def test_nodes_degrade_to_single_node_without_fork(monkeypatch):
     import repro.search.sharded as sharded_module
 
     monkeypatch.setattr(sharded_module, "process_backend_available", lambda: False)
-    limits = SearchLimits(max_depth=6)
-    reference = Engine(lattice_successors, limits=limits, retention=RETAIN_COUNTS).explore(Node(0))
-    with ShardedEngine(
-        lattice_successors, limits=limits, retention=RETAIN_COUNTS, nodes=2
-    ) as engine:
+    options = ExplorationOptions(max_depth=6, retention=RETAIN_COUNTS)
+    reference = Engine(lattice_successors, options).explore(Node(0))
+    with ShardedEngine(lattice_successors, options.replace(nodes=2)) as engine:
         assert engine.backend_name != "distributed"
         merged = engine.explore(Node(0))
     assert_bit_identical(merged, reference)
@@ -308,14 +302,12 @@ def test_booking_reachability_verdict_and_witness_across_nodes():
 @needs_fork
 def test_booking_explorer_nodes_with_and_without_shm(monkeypatch):
     booking = booking_agency_system()
-    limits = RecencyExplorationLimits(max_depth=4)
-    reference = RecencyExplorer(booking, 2, limits, retention=RETAIN_COUNTS).explore()
+    options = ExplorationOptions(max_depth=4, retention=RETAIN_COUNTS)
+    reference = RecencyExplorer(booking, 2, options).explore()
     for no_shm in (False, True):
         if no_shm:
             monkeypatch.setenv("REPRO_NO_SHM", "1")
-        with RecencyExplorer(
-            booking, 2, limits, retention=RETAIN_COUNTS, nodes=2, workers=2
-        ) as explorer:
+        with RecencyExplorer(booking, 2, options.replace(nodes=2, workers=2)) as explorer:
             result = explorer.explore()
         assert result.configurations == reference.configurations
         assert result.edge_count == reference.edge_count
@@ -343,10 +335,10 @@ def test_external_coordinator_transport_with_context():
     ]
     try:
         coordinator.accept_nodes(2, timeout=60)
-        limits = RecencyExplorationLimits(max_depth=3)
-        reference = RecencyExplorer(booking, 2, limits, retention=RETAIN_COUNTS).explore()
+        options = ExplorationOptions(max_depth=3, retention=RETAIN_COUNTS)
+        reference = RecencyExplorer(booking, 2, options).explore()
         with RecencyExplorer(
-            booking, 2, limits, retention=RETAIN_COUNTS, nodes=2, transport=coordinator
+            booking, 2, options.replace(nodes=2, transport=coordinator)
         ) as explorer:
             result = explorer.explore()
         assert result.configurations == reference.configurations
@@ -380,14 +372,11 @@ def test_external_coordinator_releases_between_different_contexts():
     ]
     try:
         coordinator.accept_nodes(2, timeout=60)
-        limits = RecencyExplorationLimits(max_depth=3)
+        options = ExplorationOptions(max_depth=3, retention=RETAIN_COUNTS)
         for bound in (1, 2):
-            reference = RecencyExplorer(
-                booking, bound, limits, retention=RETAIN_COUNTS
-            ).explore()
+            reference = RecencyExplorer(booking, bound, options).explore()
             with RecencyExplorer(
-                booking, bound, limits, retention=RETAIN_COUNTS, nodes=2,
-                transport=coordinator,
+                booking, bound, options.replace(nodes=2, transport=coordinator)
             ) as explorer:
                 result = explorer.explore()
             assert result.configurations == reference.configurations, bound
@@ -460,9 +449,9 @@ def test_corrupt_length_prefix_is_rejected_before_allocation():
 
 def explore_partial(root: Node, retention: str = RETAIN_PARENTS) -> SearchResult:
     """An independent exploration with its own intern table."""
-    return Engine(
-        lattice_successors, limits=SearchLimits(max_depth=4), retention=retention
-    ).explore(root)
+    return Engine(lattice_successors, ExplorationOptions(max_depth=4, retention=retention)).explore(
+        root
+    )
 
 
 def test_merge_distinct_tables_with_overlapping_states():

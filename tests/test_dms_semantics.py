@@ -18,12 +18,9 @@ from repro.dms.semantics import (
 from repro.dms.system import DMS
 from repro.errors import ExecutionError
 from repro.fol.parser import parse_query
-from repro.recency.explorer import (
-    RecencyExplorationLimits,
-    RecencyExplorer,
-    iterate_b_bounded_runs,
-)
+from repro.recency.explorer import RecencyExplorer, iterate_b_bounded_runs
 from repro.recency.semantics import enumerate_b_bounded_successors, initial_recency_configuration
+from repro.search import ExplorationOptions
 
 
 def test_initial_configuration(example31):
@@ -121,7 +118,9 @@ def test_execute_labels_invalid_sequence_raises(example31):
 
 
 def test_explorer_bounded_exploration(example31):
-    explorer = RecencyExplorer(example31, None, RecencyExplorationLimits(max_depth=2))
+    explorer = RecencyExplorer(
+        example31, None, ExplorationOptions(max_depth=2, retention="full")
+    )
     result = explorer.explore()
     assert result.configuration_count > 1
     assert result.depth_reached <= 2
@@ -129,7 +128,9 @@ def test_explorer_bounded_exploration(example31):
 
 
 def test_explorer_find_configuration(toy_counter_system):
-    explorer = RecencyExplorer(toy_counter_system, None, RecencyExplorationLimits(max_depth=3))
+    explorer = RecencyExplorer(
+        toy_counter_system, None, ExplorationOptions(max_depth=3, retention="full")
+    )
     witness, stats = explorer.find_configuration(
         lambda conf: len(conf.instance.relation_rows("token")) >= 2
     )

@@ -54,8 +54,9 @@ from repro.fuzz import (
 )
 from repro.fuzz.cli import EXIT_BUDGET, EXIT_DISAGREEMENT, EXIT_OK, main
 from repro.modelcheck.result import Verdict
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors
+from repro.search import ExplorationOptions
 from repro.store import ResultStore, action_hashes, cached_compute, system_hash
 from repro.workloads import drop_action_variant
 
@@ -393,10 +394,10 @@ def test_cli_disagreement_shrinks_and_writes_a_repro(tmp_path, monkeypatch):
 
 def _explore_cached(system, bound, store):
     """One recency exploration through :func:`cached_compute`."""
-    limits = RecencyExplorationLimits(max_depth=4)
+    options = ExplorationOptions(max_depth=4, retention="full")
 
     def compute(successors):
-        explorer = RecencyExplorer(system, bound, limits, successors=successors)
+        explorer = RecencyExplorer(system, bound, options, successors=successors)
         return explorer.explore()
 
     return cached_compute(
@@ -405,10 +406,7 @@ def _explore_cached(system, bound, store):
         graph=f"recency:{bound}",
         parameters={"payload": "exploration", "max_depth": 4, "strategy": "bfs"},
         compute=compute,
-        capture_base=lambda configuration: enumerate_b_bounded_successors(
-            system, configuration, bound
-        ),
-        enumerate_subset=lambda configuration, actions: enumerate_b_bounded_successors(
+        successors=lambda configuration, actions=None: enumerate_b_bounded_successors(
             system, configuration, bound, actions
         ),
     )

@@ -44,7 +44,13 @@ from repro.obs import (
 from repro.obs.cli import main as obs_main
 from repro.runtime.pool import WorkerPool
 from repro.runtime.scheduler import SweepScheduler
-from repro.search import Engine, SearchLimits, ShardedEngine, process_backend_available
+from repro.search import (
+    RETAIN_FULL,
+    Engine,
+    ExplorationOptions,
+    ShardedEngine,
+    process_backend_available,
+)
 from repro.store.store import KIND_RESULT, ResultStore
 
 needs_fork = pytest.mark.skipif(
@@ -74,6 +80,11 @@ def lattice_successors(node: Node):
         Edge(node, Node(node.key * 2 + 2)),
         Edge(node, Node((node.key + 5) % 40)),
     ]
+
+
+def retain_full(**fields) -> ExplorationOptions:
+    """Options that keep every generated edge (``retention="full"``)."""
+    return ExplorationOptions(retention=RETAIN_FULL, **fields)
 
 
 # -- registry basics -----------------------------------------------------------
@@ -205,7 +216,7 @@ def test_resolution_defaults_to_null_and_honours_global():
 
 
 def test_uninstrumented_exploration_records_nothing():
-    result = Engine(lattice_successors, limits=SearchLimits(max_depth=4)).explore(Node(0))
+    result = Engine(lattice_successors, retain_full(max_depth=4)).explore(Node(0))
     assert result.state_count > 1
     assert get_metrics() is NULL_REGISTRY
     assert NULL_REGISTRY.snapshot() == {}
@@ -216,7 +227,7 @@ def test_uninstrumented_exploration_records_nothing():
 
 def test_single_engine_counters_reconcile_with_result():
     registry = MetricsRegistry()
-    engine = Engine(lattice_successors, limits=SearchLimits(max_depth=5), metrics=registry)
+    engine = Engine(lattice_successors, retain_full(max_depth=5), metrics=registry)
     result = engine.explore(Node(0))
     assert registry.counter_value("engine_states_total", kind="interned") == result.state_count
     duplicates = registry.counter_value("engine_states_total", kind="duplicate")
@@ -231,11 +242,7 @@ def test_single_engine_counters_reconcile_with_result():
 def test_sharded_folded_counters_reconcile_with_result(workers):
     registry = MetricsRegistry()
     engine = ShardedEngine(
-        lattice_successors,
-        limits=SearchLimits(max_depth=6),
-        shards=4,
-        workers=workers,
-        metrics=registry,
+        lattice_successors, retain_full(max_depth=6, shards=4, workers=workers), metrics=registry
     )
     result = engine.explore(Node(0))
     assert registry.counter_value("engine_states_total", kind="interned") == result.state_count
@@ -250,11 +257,7 @@ def test_sharded_folded_counters_reconcile_with_result(workers):
 def test_distributed_node_counters_fold_and_reconcile():
     registry = MetricsRegistry()
     engine = ShardedEngine(
-        lattice_successors,
-        limits=SearchLimits(max_depth=5),
-        shards=2,
-        nodes=2,
-        metrics=registry,
+        lattice_successors, retain_full(max_depth=5, shards=2, nodes=2), metrics=registry
     )
     try:
         result = engine.explore(Node(0))
@@ -381,10 +384,8 @@ def test_global_tracer_resolution_and_engine_spans(tmp_path):
     tracer = Tracer(path)
     set_global_tracer(tracer)
     try:
-        Engine(lattice_successors, limits=SearchLimits(max_depth=3)).explore(Node(0))
-        ShardedEngine(
-            lattice_successors, limits=SearchLimits(max_depth=3), shards=2
-        ).explore(Node(0))
+        Engine(lattice_successors, retain_full(max_depth=3)).explore(Node(0))
+        ShardedEngine(lattice_successors, retain_full(max_depth=3, shards=2)).explore(Node(0))
     finally:
         set_global_tracer(None)
         tracer.close()

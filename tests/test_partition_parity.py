@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import pytest
 
 from repro.distributed import DistributedEngine
-from repro.search import RETAIN_PARENTS, SearchLimits, ShardedEngine, process_backend_available
+from repro.search import (
+    RETAIN_PARENTS,
+    ExplorationOptions,
+    ShardedEngine,
+    process_backend_available,
+)
 from repro.search.sharded import collect_partials, run_levels
 
 
@@ -57,21 +62,21 @@ def partition_view(partial) -> tuple:
 
 @pytest.mark.skipif(not process_backend_available(), reason="requires the fork start method")
 @pytest.mark.parametrize(
-    "limits",
-    (SearchLimits(max_depth=7), SearchLimits(max_depth=7, max_configurations=23)),
+    "options",
+    (
+        ExplorationOptions(max_depth=7, retention=RETAIN_PARENTS),
+        ExplorationOptions(max_depth=7, max_configurations=23, retention=RETAIN_PARENTS),
+    ),
     ids=("unbounded", "mid-level-state-cut"),
 )
-def test_in_process_and_tcp_partitions_agree(limits):
-    in_process = ShardedEngine(
-        lattice_successors, limits=limits, shards=2, retention=RETAIN_PARENTS
-    ).explore_shards(Node(0))
-    with DistributedEngine(
-        lattice_successors, nodes=2, limits=limits, retention=RETAIN_PARENTS
-    ) as engine:
+def test_in_process_and_tcp_partitions_agree(options):
+    in_process = ShardedEngine(lattice_successors, options.replace(shards=2)).explore_shards(
+        Node(0)
+    )
+    with DistributedEngine(lattice_successors, options.replace(nodes=2)) as engine:
         over_tcp = engine._on_nodes(
             lambda transport, record: collect_partials(
-                transport,
-                run_levels(transport, Node(0), limits=limits, retention=RETAIN_PARENTS),
+                transport, run_levels(transport, Node(0), engine.options)
             )
         )
     assert len(in_process) == len(over_tcp) == 2
@@ -80,4 +85,4 @@ def test_in_process_and_tcp_partitions_agree(limits):
     cross = [parent for partial in in_process for parent, _ in partial.parents.values()]
     assert -1 in cross  # the lattice has cross-partition discoveries
     truncated = any(partial.truncated for partial in in_process)
-    assert truncated == (limits.max_configurations == 23)
+    assert truncated == (options.max_configurations == 23)

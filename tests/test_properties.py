@@ -24,14 +24,10 @@ from repro.recency.canonical import is_canonical_run, runs_equivalent_modulo_per
 from repro.recency.concretize import concretize_word
 from repro.fuzz import FuzzShape, generate_instance
 from repro.modelcheck.result import Verdict
-from repro.recency.explorer import (
-    RecencyExplorationLimits,
-    RecencyExplorer,
-    iterate_b_bounded_runs,
-)
+from repro.recency.explorer import RecencyExplorer, iterate_b_bounded_runs
 from repro.recency.semantics import enumerate_b_bounded_successors
 from repro.recency.sequence import SequenceNumbering
-from repro.search import InternTable
+from repro.search import ExplorationOptions, InternTable
 from repro.transforms.constants import remove_constants
 from repro.transforms.freshness import weaken_freshness
 from repro.workloads.generators import RandomDMSParameters, random_dms
@@ -220,7 +216,9 @@ def test_interning_is_bijective_on_explored_configurations(seed, shape):
     """Hash-consing maps distinct configurations to distinct dense ids."""
     instance = generate_instance(seed, "smoke", shape=shape)
     explorer = RecencyExplorer(
-        instance.system, instance.bound, RecencyExplorationLimits(max_depth=instance.depth)
+        instance.system,
+        instance.bound,
+        ExplorationOptions(max_depth=instance.depth, retention="full"),
     )
     configurations = list(explorer.explore().configurations)
     table = InternTable()
@@ -289,7 +287,9 @@ def test_reachability_witnesses_replay_through_the_semantics(seed, shape):
 
 def _assert_unbounded_successors_match_reference(system, depth):
     """``bound=None`` is the reference relation, and so is any ``b ≥ |adom|``."""
-    explored = RecencyExplorer(system, None, RecencyExplorationLimits(max_depth=depth)).explore()
+    explored = RecencyExplorer(
+        system, None, ExplorationOptions(max_depth=depth, retention="full")
+    ).explore()
     for configuration in explored.configurations:
         unified = list(enumerate_b_bounded_successors(system, configuration, None))
         reference = list(enumerate_successors(system, configuration.plain()))

@@ -15,8 +15,9 @@ from repro.recency.canonical import (
     runs_equivalent_modulo_permutation,
 )
 from repro.recency.concretize import ConcretizationError, canonicalize_run, concretize_word, is_valid_abstract_word
-from repro.recency.explorer import RecencyExplorer, RecencyExplorationLimits, iterate_b_bounded_runs
+from repro.recency.explorer import RecencyExplorer, iterate_b_bounded_runs
 from repro.recency.semantics import execute_b_bounded_labels
+from repro.search import ExplorationOptions
 
 
 def expected_example_61_abstraction():
@@ -113,7 +114,9 @@ def test_runs_with_same_abstraction_are_isomorphic(example31, figure1_labels):
 
 
 def test_explorer_and_iteration_only_produce_valid_runs(example31):
-    explorer = RecencyExplorer(example31, bound=2, limits=RecencyExplorationLimits(max_depth=3))
+    explorer = RecencyExplorer(
+        example31, bound=2, options=ExplorationOptions(max_depth=3, retention="full")
+    )
     result = explorer.explore()
     assert result.configuration_count > 1
     for run in iterate_b_bounded_runs(example31, bound=2, depth=3, max_runs=20):

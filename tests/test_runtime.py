@@ -25,7 +25,7 @@ import pytest
 
 from repro.errors import SchedulerError, WorkerPoolError
 from repro.harness.experiments import experiment_e9_convergence
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.runtime import (
     PointRecord,
     SerialWorkerContext,
@@ -34,7 +34,13 @@ from repro.runtime import (
     WorkerPool,
     point_key,
 )
-from repro.search import Engine, SearchLimits, ShardedEngine, process_backend_available
+from repro.search import (
+    RETAIN_FULL,
+    Engine,
+    ExplorationOptions,
+    ShardedEngine,
+    process_backend_available,
+)
 from repro.workloads.sweeps import sweep
 
 needs_fork = pytest.mark.skipif(
@@ -63,6 +69,11 @@ def dag_successors(node: Node):
     return [Edge(node, Node(child)) for child in DAG.get(node.key, ())]
 
 
+def retain_full(**fields) -> ExplorationOptions:
+    """Options that keep every generated edge (``retention="full"``)."""
+    return ExplorationOptions(retention=RETAIN_FULL, **fields)
+
+
 GRID = [{"n": n} for n in range(6)]
 
 
@@ -82,12 +93,7 @@ def slow_measure(parameters: dict) -> dict:
 def test_pooled_engine_reuses_warm_workers_across_explorations():
     with WorkerPool(workers=2) as pool:
         engine = ShardedEngine(
-            dag_successors,
-            limits=SearchLimits(max_depth=5),
-            shards=2,
-            workers=2,
-            pool=pool,
-            pool_key="dag",
+            dag_successors, retain_full(max_depth=5, shards=2, workers=2), pool=pool, pool_key="dag"
         )
         assert engine.backend_name == "pooled"
         first = engine.explore(Node(0))
@@ -96,7 +102,7 @@ def test_pooled_engine_reuses_warm_workers_across_explorations():
         second = engine.explore(Node(0))
         assert pool.worker_pids("dag") == pids  # warm: the same workers served both
         assert pool.health_check("dag")
-        reference = Engine(dag_successors, limits=SearchLimits(max_depth=5)).explore(Node(0))
+        reference = Engine(dag_successors, retain_full(max_depth=5)).explore(Node(0))
         for merged in (first, second):
             assert set(merged.states()) == set(reference.states())
             assert merged.edge_count == reference.edge_count
@@ -107,10 +113,10 @@ def test_pooled_engine_reuses_warm_workers_across_explorations():
 def test_pool_contexts_shared_across_engines_by_semantic_key():
     with WorkerPool(workers=2) as pool:
         first = ShardedEngine(
-            dag_successors, shards=2, workers=2, pool=pool, pool_key=("dag", "shared")
+            dag_successors, retain_full(shards=2, workers=2), pool=pool, pool_key=("dag", "shared")
         )
         second = ShardedEngine(
-            dag_successors, shards=4, workers=2, pool=pool, pool_key=("dag", "shared")
+            dag_successors, retain_full(shards=4, workers=2), pool=pool, pool_key=("dag", "shared")
         )
         first.explore(Node(0))
         pids = pool.worker_pids(("dag", "shared"))
@@ -148,8 +154,10 @@ def test_pooled_exploration_survives_worker_killed_between_explorations():
     system_successors = dag_successors
     with WorkerPool(workers=2) as pool:
         engine = ShardedEngine(
-            system_successors, limits=SearchLimits(max_depth=5), shards=2, workers=2,
-            pool=pool, pool_key="kill-between",
+            system_successors,
+            retain_full(max_depth=5, shards=2, workers=2),
+            pool=pool,
+            pool_key="kill-between",
         )
         reference = engine.explore(Node(0))
         os.kill(pool.worker_pids("kill-between")[0], signal.SIGKILL)
@@ -167,12 +175,14 @@ def test_pooled_exploration_survives_worker_killed_between_explorations():
 def test_pool_serial_fallback_is_deterministic_and_pid_free():
     with WorkerPool(workers=2, use_processes=False) as pool:
         engine = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=5), shards=3, workers=2,
-            pool=pool, pool_key="serial",
+            dag_successors,
+            retain_full(max_depth=5, shards=3, workers=2),
+            pool=pool,
+            pool_key="serial",
         )
         assert engine.backend_name == "pooled-serial"
         merged = engine.explore(Node(0))
-        reference = Engine(dag_successors, limits=SearchLimits(max_depth=5)).explore(Node(0))
+        reference = Engine(dag_successors, retain_full(max_depth=5)).explore(Node(0))
         assert set(merged.states()) == set(reference.states())
         assert pool.worker_pids("serial") == (os.getpid(),)
 
@@ -191,14 +201,16 @@ def test_failed_expansion_does_not_contaminate_next_exploration():
 
     with WorkerPool(workers=2) as pool:
         engine = ShardedEngine(
-            sometimes_failing, limits=SearchLimits(max_depth=5), shards=2, workers=2,
-            pool=pool, pool_key="poisoned",
+            sometimes_failing,
+            retain_full(max_depth=5, shards=2, workers=2),
+            pool=pool,
+            pool_key="poisoned",
         )
         with pytest.raises(WorkerPoolError, match="poisoned state"):
             engine.explore(Node(0))
         # Same warm context, clean run on a graph that avoids the poison.
         healthy = engine.explore(Node(1))
-        reference = Engine(dag_successors, limits=SearchLimits(max_depth=5)).explore(Node(1))
+        reference = Engine(dag_successors, retain_full(max_depth=5)).explore(Node(1))
         assert set(healthy.states()) == set(reference.states())
         assert healthy.edge_count == reference.edge_count
 
@@ -246,7 +258,7 @@ def test_auto_keyed_backend_releases_context_on_engine_close():
     # instead of accumulating a warm context nothing can address again.
     with WorkerPool(workers=2) as pool:
         engine = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=5), shards=2, workers=2, pool=pool
+            dag_successors, retain_full(max_depth=5, shards=2, workers=2), pool=pool
         )
         engine.explore(Node(0))
         assert len(pool.keys()) == 1
@@ -309,10 +321,10 @@ def test_auto_keyed_contexts_are_lease_counted_across_engines():
     # the other still uses — only the last close does.
     with WorkerPool(workers=2) as pool:
         first = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=5), shards=2, workers=2, pool=pool
+            dag_successors, retain_full(max_depth=5, shards=2, workers=2), pool=pool
         )
         second = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=5), shards=2, workers=2, pool=pool
+            dag_successors, retain_full(max_depth=5, shards=2, workers=2), pool=pool
         )
         reference = first.explore(Node(0))
         second.explore(Node(0))
@@ -627,10 +639,8 @@ def test_nested_parallelism_degrades_to_serial_expansion_in_workers():
     # back to serial expansion with identical results (the outer grid
     # level already provides the parallelism).
     def nested_measure(parameters: dict) -> dict:
-        explorer = RecencyExplorer(
-            tiny_dms(), 2, RecencyExplorationLimits(max_depth=3),
-            shards=2, workers=2,  # would fork if allowed; must degrade inside a worker
-        )
+        # Two workers would fork if allowed; the explorer must degrade inside a worker.
+        explorer = RecencyExplorer(tiny_dms(), 2, retain_full(max_depth=3, shards=2, workers=2))
         result = explorer.explore()
         return {
             "backend": explorer.backend_name,
@@ -710,10 +720,12 @@ def test_recency_explorer_with_pool_matches_plain_exploration():
     from repro.casestudies.booking import booking_agency_system
 
     system = booking_agency_system()
-    limits = RecencyExplorationLimits(max_depth=3)
-    reference = RecencyExplorer(system, 2, limits).explore()
+    options = retain_full(max_depth=3)
+    reference = RecencyExplorer(system, 2, options).explore()
     with WorkerPool(workers=2) as pool:
-        with RecencyExplorer(system, 2, limits, shards=2, workers=2, pool=pool) as explorer:
+        with RecencyExplorer(
+            system, 2, options.replace(shards=2, workers=2), pool=pool
+        ) as explorer:
             assert explorer.backend_name == "pooled"
             first = explorer.explore()
             second = explorer.explore()

@@ -18,18 +18,14 @@ import pytest
 from repro.casestudies.booking import booking_agency_system
 from repro.dms.builder import DMSBuilder
 from repro.errors import SearchError
-from repro.recency.explorer import (
-    RecencyExplorationLimits,
-    RecencyExplorer,
-    iterate_b_bounded_runs,
-)
+from repro.recency.explorer import RecencyExplorer, iterate_b_bounded_runs
 from repro.search import (
     RETAIN_COUNTS,
     RETAIN_FULL,
     RETAIN_PARENTS,
     Engine,
+    ExplorationOptions,
     InternTable,
-    SearchLimits,
     iterate_paths,
 )
 from repro.search.baseline import (
@@ -72,7 +68,12 @@ def graph_successors(adjacency: dict):
 DIAMOND_FREE = {0: [1, 2], 1: [3], 2: [4]}
 
 
-def expansion_order(adjacency: dict, **engine_kwargs) -> list[int]:
+def retain_full(**fields) -> ExplorationOptions:
+    """Options that keep every generated edge (``retention="full"``)."""
+    return ExplorationOptions(retention=RETAIN_FULL, **fields)
+
+
+def expansion_order(adjacency: dict, **fields) -> list[int]:
     """The order in which the engine expands states (calls successors)."""
     expanded: list[int] = []
     base = graph_successors(adjacency)
@@ -81,7 +82,7 @@ def expansion_order(adjacency: dict, **engine_kwargs) -> list[int]:
         expanded.append(node.key)
         return base(node)
 
-    engine = Engine(logging_successors, limits=SearchLimits(max_depth=10), **engine_kwargs)
+    engine = Engine(logging_successors, retain_full(max_depth=10, **fields))
     engine.explore(Node(0))
     return expanded
 
@@ -116,18 +117,17 @@ def test_best_first_breaks_ties_in_discovery_order():
 
 
 def test_unknown_strategy_and_missing_heuristic_rejected():
-    successors = graph_successors(DIAMOND_FREE)
     with pytest.raises(SearchError):
-        Engine(successors, strategy="wavefront")
+        ExplorationOptions(strategy="wavefront")
     with pytest.raises(SearchError):
-        Engine(successors, strategy="best-first")
+        ExplorationOptions(strategy="best-first")
     with pytest.raises(SearchError):
-        Engine(successors, retention="sometimes")
+        ExplorationOptions(retention="sometimes")
 
 
 def test_discovery_callback_reports_depths():
     discovered = []
-    engine = Engine(graph_successors(DIAMOND_FREE), limits=SearchLimits(max_depth=10))
+    engine = Engine(graph_successors(DIAMOND_FREE), retain_full(max_depth=10))
     engine.explore(Node(0), on_state=lambda node, depth: discovered.append((node.key, depth)))
     assert discovered == [(0, 0), (1, 1), (2, 1), (3, 2), (4, 2)]
 
@@ -141,21 +141,13 @@ def test_depth_bounded_dfs_reopens_states_reached_shallower():
         ("dfs", None),
         ("best-first", lambda node, depth: -node.key),
     ):
-        engine = Engine(
-            graph_successors(adjacency),
-            limits=SearchLimits(max_depth=3),
-            strategy=strategy,
-            heuristic=heuristic,
-        )
-        result = engine.explore(Node(0))
+        options = retain_full(max_depth=3, strategy=strategy, heuristic=heuristic)
+        result = Engine(graph_successors(adjacency), options).explore(Node(0))
         assert {node.key for node in result.states()} == {0, 1, 2, 3, 4, 5}
         assert not result.truncated
-        path, search_result = Engine(
-            graph_successors(adjacency),
-            limits=SearchLimits(max_depth=3),
-            strategy=strategy,
-            heuristic=heuristic,
-        ).search(Node(0), lambda node: node.key == 5)
+        path, search_result = Engine(graph_successors(adjacency), options).search(
+            Node(0), lambda node: node.key == 5
+        )
         assert path is not None
         assert [edge.target.key for edge in path] == [1, 4, 5]
 
@@ -172,9 +164,7 @@ def test_strategies_agree_on_untruncated_state_sets():
         for max_depth in (1, 2, 3, 10):
             engine = Engine(
                 graph_successors(adjacency),
-                limits=SearchLimits(max_depth=max_depth),
-                strategy=strategy,
-                heuristic=heuristic,
+                retain_full(max_depth=max_depth, strategy=strategy, heuristic=heuristic),
             )
             states = frozenset(node.key for node in engine.explore(Node(0)).states())
             key = max_depth
@@ -207,7 +197,7 @@ def test_engine_interns_rediscovered_states():
     # 3 is reachable through both 1 and 2; successor calls build fresh
     # Node objects every time, but the engine keeps a single canonical one.
     diamond = {0: [1, 2], 1: [3], 2: [3]}
-    engine = Engine(graph_successors(diamond), limits=SearchLimits(max_depth=10))
+    engine = Engine(graph_successors(diamond), retain_full(max_depth=10))
     result = engine.explore(Node(0))
     states = list(result.states())
     assert [node.key for node in states] == [0, 1, 2, 3]
@@ -223,14 +213,14 @@ def test_retention_modes_control_edge_storage():
     adjacency = {0: [1, 2], 1: [3], 2: [3]}
     for retention, retained in ((RETAIN_FULL, 4), (RETAIN_PARENTS, 0), (RETAIN_COUNTS, 0)):
         engine = Engine(
-            graph_successors(adjacency), limits=SearchLimits(max_depth=10), retention=retention
+            graph_successors(adjacency), ExplorationOptions(max_depth=10, retention=retention)
         )
         result = engine.explore(Node(0))
         assert len(result.edges) == retained
         assert result.edge_count == 4
         assert result.state_count == 4
     counts = Engine(
-        graph_successors(adjacency), limits=SearchLimits(max_depth=10), retention=RETAIN_COUNTS
+        graph_successors(adjacency), ExplorationOptions(max_depth=10, retention=RETAIN_COUNTS)
     ).explore(Node(0))
     assert counts.parents == {}
     with pytest.raises(SearchError):
@@ -243,7 +233,7 @@ def test_parents_only_search_reconstructs_the_bfs_minimal_witness():
     witnesses = {}
     for retention in (RETAIN_FULL, RETAIN_PARENTS):
         engine = Engine(
-            graph_successors(adjacency), limits=SearchLimits(max_depth=10), retention=retention
+            graph_successors(adjacency), ExplorationOptions(max_depth=10, retention=retention)
         )
         path, result = engine.search(Node(0), lambda node: node.key == 5)
         assert path is not None and not result.truncated
@@ -252,7 +242,7 @@ def test_parents_only_search_reconstructs_the_bfs_minimal_witness():
 
 
 def test_search_initial_state_yields_empty_path():
-    engine = Engine(graph_successors(DIAMOND_FREE))
+    engine = Engine(graph_successors(DIAMOND_FREE), retain_full())
     path, result = engine.search(Node(0), lambda node: node.key == 0)
     assert path == []
     assert result.state_count == 1
@@ -268,7 +258,7 @@ def booking():
 
 def test_engine_explore_matches_seed_explorer(example31):
     seed = SeedRecencyExplorer(example31, 2, SeedExplorationLimits(max_depth=4))
-    engine = RecencyExplorer(example31, 2, RecencyExplorationLimits(max_depth=4))
+    engine = RecencyExplorer(example31, 2, retain_full(max_depth=4))
     seed_result = seed.explore()
     engine_result = engine.explore()
     assert engine_result.configurations == seed_result.configurations
@@ -286,9 +276,7 @@ def test_engine_truncation_matches_seed_explorer(example31):
             SeedExplorationLimits(max_depth=4, max_configurations=max_configurations),
         )
         engine = RecencyExplorer(
-            example31,
-            2,
-            RecencyExplorationLimits(max_depth=4, max_configurations=max_configurations),
+            example31, 2, retain_full(max_depth=4, max_configurations=max_configurations)
         )
         seed_result = seed.explore()
         engine_result = engine.explore()
@@ -305,7 +293,7 @@ def test_engine_witness_matches_seed_explorer(booking):
     seed_witness, seed_stats = seed.find_configuration(has_offer)
     for retention in (RETAIN_FULL, RETAIN_PARENTS):
         engine = RecencyExplorer(
-            booking, 2, RecencyExplorationLimits(max_depth=5), retention=retention
+            booking, 2, ExplorationOptions(max_depth=5, retention=retention)
         )
         witness, stats = engine.find_configuration(has_offer)
         assert witness is not None and seed_witness is not None

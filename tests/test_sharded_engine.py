@@ -27,7 +27,7 @@ from repro.casestudies.booking import booking_agency_system
 from repro.dms.builder import DMSBuilder
 from repro.errors import SearchError
 from repro.modelcheck import Verdict
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import (
     enumerate_b_bounded_successors,
     initial_recency_configuration,
@@ -38,7 +38,7 @@ from repro.search import (
     RETAIN_PARENTS,
     RETENTION_MODES,
     Engine,
-    SearchLimits,
+    ExplorationOptions,
     SearchResult,
     ShardedEngine,
     ShardFrontiers,
@@ -92,6 +92,11 @@ def tiny_system():
     return builder.build()
 
 
+def retain_full(**fields) -> ExplorationOptions:
+    """Options that keep every generated edge (``retention="full"``)."""
+    return ExplorationOptions(retention=RETAIN_FULL, **fields)
+
+
 def _recency_successors(system, bound):
     return lambda configuration: enumerate_b_bounded_successors(system, configuration, bound)
 
@@ -118,11 +123,9 @@ def test_sharded_matches_single_shard_on_case_study(shards, retention):
     system = booking_agency_system()
     successors = _recency_successors(system, 2)
     initial = initial_recency_configuration(system)
-    limits = SearchLimits(max_depth=4)
-    reference = Engine(successors, limits=limits, retention=retention).explore(initial)
-    merged = ShardedEngine(
-        successors, limits=limits, shards=shards, retention=retention
-    ).explore(initial)
+    options = ExplorationOptions(max_depth=4, retention=retention)
+    reference = Engine(successors, options).explore(initial)
+    merged = ShardedEngine(successors, options.replace(shards=shards)).explore(initial)
     assert_results_identical(reference, merged)
 
 
@@ -131,17 +134,15 @@ def test_sharded_search_returns_identical_witness(shards):
     system = tiny_system()
     successors = _recency_successors(system, 2)
     initial = initial_recency_configuration(system)
-    limits = SearchLimits(max_depth=5)
+    options = ExplorationOptions(max_depth=5, retention=RETAIN_PARENTS)
 
     def two_promoted(configuration):
         return len(configuration.instance.relation_rows("Q")) >= 2
 
-    reference_path, reference = Engine(
-        successors, limits=limits, retention=RETAIN_PARENTS
-    ).search(initial, two_promoted)
-    sharded_path, merged = ShardedEngine(
-        successors, limits=limits, shards=shards, retention=RETAIN_PARENTS
-    ).search(initial, two_promoted)
+    reference_path, reference = Engine(successors, options).search(initial, two_promoted)
+    sharded_path, merged = ShardedEngine(successors, options.replace(shards=shards)).search(
+        initial, two_promoted
+    )
     assert reference_path is not None
     assert sharded_path == reference_path
     assert_results_identical(reference, merged, witnesses=False)
@@ -157,11 +158,9 @@ def test_sharded_matches_single_shard_on_random_systems(seed, shards, retention)
     system = random_dms(seed, RandomDMSParameters(relations=2, max_arity=2, actions=3))
     successors = _recency_successors(system, 2)
     initial = initial_recency_configuration(system)
-    limits = SearchLimits(max_depth=3)
-    reference = Engine(successors, limits=limits, retention=retention).explore(initial)
-    merged = ShardedEngine(
-        successors, limits=limits, shards=shards, retention=retention
-    ).explore(initial)
+    options = ExplorationOptions(max_depth=3, retention=retention)
+    reference = Engine(successors, options).explore(initial)
+    merged = ShardedEngine(successors, options.replace(shards=shards)).explore(initial)
     assert_results_identical(reference, merged)
 
 
@@ -169,23 +168,47 @@ def test_sharded_truncation_is_bit_identical():
     system = booking_agency_system()
     successors = _recency_successors(system, 2)
     initial = initial_recency_configuration(system)
-    limits = SearchLimits(max_depth=6, max_configurations=90)
-    reference = Engine(successors, limits=limits, retention=RETAIN_PARENTS).explore(initial)
+    options = ExplorationOptions(max_depth=6, max_configurations=90, retention=RETAIN_PARENTS)
+    reference = Engine(successors, options).explore(initial)
     assert reference.truncated
     for shards in SHARD_COUNTS:
-        merged = ShardedEngine(
-            successors, limits=limits, shards=shards, retention=RETAIN_PARENTS
-        ).explore(initial)
+        merged = ShardedEngine(successors, options.replace(shards=shards)).explore(initial)
         assert_results_identical(reference, merged)
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_zero_step_limit_stops_after_the_first_edge(shards):
+    # The edge limit is checked after an edge is counted, so max_steps=0
+    # still generates the root's first edge and stops there: the rest of
+    # the root's level — here the search target — is never reached.
+    options = retain_full(max_depth=5, max_steps=0)
+    reference = Engine(graph_successors(DAG), options).explore(Node(0))
+    assert reference.truncated
+    assert (reference.state_count, reference.edge_count) == (2, 1)
+    merged = ShardedEngine(graph_successors(DAG), options.replace(shards=shards)).explore(Node(0))
+    assert_results_identical(reference, merged)
+
+    def second_successor(node):
+        return node.key == 2
+
+    reference_path, reference = Engine(graph_successors(DAG), options).search(
+        Node(0), second_successor
+    )
+    assert reference_path is None and reference.truncated
+    sharded_path, merged = ShardedEngine(
+        graph_successors(DAG), options.replace(shards=shards)
+    ).search(Node(0), second_successor)
+    assert sharded_path is None
+    assert_results_identical(reference, merged)
 
 
 def test_on_state_callback_fires_in_discovery_order():
     reference: list = []
-    Engine(graph_successors(DAG), limits=SearchLimits(max_depth=5)).explore(
+    Engine(graph_successors(DAG), retain_full(max_depth=5)).explore(
         Node(0), on_state=lambda node, depth: reference.append((node.key, depth))
     )
     sharded: list = []
-    ShardedEngine(graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=3).explore(
+    ShardedEngine(graph_successors(DAG), retain_full(max_depth=5, shards=3)).explore(
         Node(0), on_state=lambda node, depth: sharded.append((node.key, depth))
     )
     assert sharded == reference
@@ -195,7 +218,7 @@ def test_on_state_callback_fires_in_discovery_order():
 
 
 def test_explore_shards_partition_states_and_merge_back():
-    engine = ShardedEngine(graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=3)
+    engine = ShardedEngine(graph_successors(DAG), retain_full(max_depth=5, shards=3))
     partials = engine.explore_shards(Node(0))
     assert len(partials) == 3
     keys = [frozenset(node.key for node in partial.states()) for partial in partials]
@@ -203,7 +226,7 @@ def test_explore_shards_partition_states_and_merge_back():
     assert len(all_keys) == len(set(all_keys))  # ownership is a partition
     assert set(all_keys) == set(range(7))
     merged = SearchResult.merge_all(partials)
-    reference = Engine(graph_successors(DAG), limits=SearchLimits(max_depth=5)).explore(Node(0))
+    reference = Engine(graph_successors(DAG), retain_full(max_depth=5)).explore(Node(0))
     assert_results_identical(reference, merged)
 
 
@@ -211,19 +234,19 @@ def test_pairwise_merge_never_invents_visited_states():
     # Merging two of three partials must union exactly their own states —
     # a cross-shard parent source owned by the third shard stays a -1
     # marker instead of being interned into the visited set.
-    engine = ShardedEngine(graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=3)
+    engine = ShardedEngine(graph_successors(DAG), retain_full(max_depth=5, shards=3))
     a, b, c = engine.explore_shards(Node(0))
     partial_union = a.merge(b)
     assert set(partial_union.states()) == set(a.states()) | set(b.states())
     full = partial_union.merge(c)
-    reference = Engine(graph_successors(DAG), limits=SearchLimits(max_depth=5)).explore(Node(0))
+    reference = Engine(graph_successors(DAG), retain_full(max_depth=5)).explore(Node(0))
     assert_results_identical(reference, full)
     # After the full fold no cross-shard marker survives.
     assert all(parent_id >= 0 for parent_id, _ in full.parents.values())
 
 
 def test_merge_is_associative_over_shard_partials():
-    engine = ShardedEngine(graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=3)
+    engine = ShardedEngine(graph_successors(DAG), retain_full(max_depth=5, shards=3))
     a, b, c = engine.explore_shards(Node(0))
     left = a.merge(b).merge(c)
     right = a.merge(b.merge(c))
@@ -239,7 +262,7 @@ def test_merge_is_associative_over_shard_partials():
 def test_merge_with_empty_partial_is_identity_on_content():
     # A shard that owned no states contributes an empty partial; merging
     # it in (either side) must not change the content of the result.
-    engine = ShardedEngine(graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=2)
+    engine = ShardedEngine(graph_successors(DAG), retain_full(max_depth=5, shards=2))
     full = engine.explore(Node(0))
     empty = SearchResult(initial=Node(0), retention=full.retention)
     for merged in (full.merge(empty), empty.merge(full)):
@@ -260,12 +283,8 @@ def test_merge_results_with_disjoint_intern_tables():
     # id ranges (each partial numbers its states 0..n-1 locally).
     left_adjacency = {0: [1, 2]}
     right_adjacency = {10: [11], 11: [12]}
-    left = Engine(graph_successors(left_adjacency), limits=SearchLimits(max_depth=3)).explore(
-        Node(0)
-    )
-    right = Engine(graph_successors(right_adjacency), limits=SearchLimits(max_depth=3)).explore(
-        Node(10)
-    )
+    left = Engine(graph_successors(left_adjacency), retain_full(max_depth=3)).explore(Node(0))
+    right = Engine(graph_successors(right_adjacency), retain_full(max_depth=3)).explore(Node(10))
     assert not set(left.states()) & set(right.states())
     merged = left.merge(right)
     assert set(merged.states()) == set(left.states()) | set(right.states())
@@ -281,9 +300,8 @@ def test_merge_results_with_disjoint_intern_tables():
 def test_merge_is_associative_under_counts_only_retention():
     # counts-only partials carry no parent links; the fold must still be
     # associative on states, counters and flags.
-    engine = ShardedEngine(
-        graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=3, retention=RETAIN_COUNTS
-    )
+    counts = ExplorationOptions(max_depth=5, retention=RETAIN_COUNTS)
+    engine = ShardedEngine(graph_successors(DAG), counts.replace(shards=3))
     a, b, c = engine.explore_shards(Node(0))
     assert not a.parents and not b.parents and not c.parents
     left = a.merge(b).merge(c)
@@ -294,9 +312,7 @@ def test_merge_is_associative_under_counts_only_retention():
     assert left.depth_reached == right.depth_reached
     assert left.truncated == right.truncated
     assert left.parents == {} and right.parents == {}
-    reference = Engine(
-        graph_successors(DAG), limits=SearchLimits(max_depth=5), retention=RETAIN_COUNTS
-    ).explore(Node(0))
+    reference = Engine(graph_successors(DAG), counts).explore(Node(0))
     assert set(left.states()) == set(reference.states())
     assert left.edge_count == reference.edge_count
 
@@ -323,7 +339,7 @@ def test_merge_rejects_mismatched_retention():
 
 
 def test_partial_results_refuse_cross_shard_witnesses():
-    engine = ShardedEngine(graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=3)
+    engine = ShardedEngine(graph_successors(DAG), retain_full(max_depth=5, shards=3))
     partials = engine.explore_shards(Node(0))
     cross = [
         (partial, state_id)
@@ -395,15 +411,17 @@ def test_shard_frontiers_steal_at_least_one_entry():
 def test_sharded_engine_rejects_non_bfs_and_bad_parameters():
     successors = graph_successors(DAG)
     with pytest.raises(SearchError):
-        ShardedEngine(successors, strategy="dfs", shards=2)
+        ShardedEngine(successors, ExplorationOptions(strategy="dfs", shards=2))
     with pytest.raises(SearchError):
-        ShardedEngine(successors, shards=0)
+        ExplorationOptions(shards=0)
     with pytest.raises(SearchError):
-        ShardedEngine(successors, workers=0)
+        ExplorationOptions(workers=0)
     with pytest.raises(SearchError):
-        ShardedEngine(successors, batch_size=0)
+        ExplorationOptions(nodes=0)
     with pytest.raises(SearchError):
-        ShardedEngine(successors, retention="sometimes")
+        ShardedEngine(successors, ExplorationOptions(), batch_size=0)
+    with pytest.raises(SearchError):
+        ExplorationOptions(retention="sometimes")
 
 
 @pytest.mark.skipif(not process_backend_available(), reason="fork start method unavailable")
@@ -412,9 +430,7 @@ def test_engine_reuses_worker_pids_across_explorations():
     # be created and destroyed inside every explore() call.  Backend
     # lifetime is now the engine's lifetime, so two successive
     # explorations must be served by the *same* worker processes.
-    engine = ShardedEngine(
-        graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=2, workers=2
-    )
+    engine = ShardedEngine(graph_successors(DAG), retain_full(max_depth=5, shards=2, workers=2))
     try:
         first = engine.explore(Node(0))
         pids_first = engine._backend().worker_pids()
@@ -434,7 +450,7 @@ def test_engine_reuses_worker_pids_across_explorations():
 @pytest.mark.skipif(not process_backend_available(), reason="fork start method unavailable")
 def test_engine_context_manager_closes_backend():
     with ShardedEngine(
-        graph_successors(DAG), limits=SearchLimits(max_depth=5), shards=2, workers=2
+        graph_successors(DAG), retain_full(max_depth=5, shards=2, workers=2)
     ) as engine:
         engine.explore(Node(0))
         assert engine._backend_instance is not None
@@ -445,20 +461,11 @@ def test_engine_context_manager_closes_backend():
 def test_process_backend_matches_serial_backend():
     system = tiny_system()
     initial = initial_recency_configuration(system)
-    limits = SearchLimits(max_depth=4)
-    explorer = RecencyExplorer(
-        system, 2, RecencyExplorationLimits(max_depth=4), retention=RETAIN_PARENTS
-    )
-    reference = Engine(
-        _recency_successors(system, 2), limits=limits, retention=RETAIN_PARENTS
-    ).explore(initial)
+    options = ExplorationOptions(max_depth=4, retention=RETAIN_PARENTS)
+    explorer = RecencyExplorer(system, 2, options)
+    reference = Engine(_recency_successors(system, 2), options).explore(initial)
     parallel = ShardedEngine(
-        _recency_successors(system, 2),
-        limits=limits,
-        shards=2,
-        workers=2,
-        retention=RETAIN_PARENTS,
-        batch_size=4,
+        _recency_successors(system, 2), options.replace(shards=2, workers=2), batch_size=4
     )
     assert parallel.backend_name == "process"
     merged = parallel.explore(initial)
@@ -469,10 +476,9 @@ def test_process_backend_matches_serial_backend():
 @pytest.mark.parametrize("shards,workers", [(2, 1), (3, 1)])
 def test_explorer_adapters_route_through_sharded_engine(shards, workers):
     system = tiny_system()
-    baseline = RecencyExplorer(system, 2, RecencyExplorationLimits(max_depth=4))
-    sharded = RecencyExplorer(
-        system, 2, RecencyExplorationLimits(max_depth=4), shards=shards, workers=workers
-    )
+    options = retain_full(max_depth=4)
+    baseline = RecencyExplorer(system, 2, options)
+    sharded = RecencyExplorer(system, 2, options.replace(shards=shards, workers=workers))
     assert isinstance(sharded._engine(), ShardedEngine)
     reference = baseline.explore()
     merged = sharded.explore()

@@ -32,10 +32,11 @@ import pytest
 
 from repro.errors import SearchError
 from repro.search import (
+    RETAIN_FULL,
     Engine,
+    ExplorationOptions,
     InternTable,
     RETENTION_MODES,
-    SearchLimits,
     SearchResult,
     ShardedEngine,
     SharedInternTable,
@@ -78,6 +79,11 @@ DAG = {0: [1, 2, 3], 1: [4], 2: [5], 3: [4], 4: [6], 5: [6], 6: [7, 8], 7: [9], 
 
 def dag_successors(node: Node):
     return [Edge(node, Node(child)) for child in DAG.get(node.key, ())]
+
+
+def retain_full(**fields) -> ExplorationOptions:
+    """Options that keep every generated edge (``retention="full"``)."""
+    return ExplorationOptions(retention=RETAIN_FULL, **fields)
 
 
 # -- the shared state store ----------------------------------------------------
@@ -265,15 +271,12 @@ def test_concurrent_appends_from_worker_slots_are_safe():
 @pytest.mark.parametrize("retention", RETENTION_MODES)
 def test_shared_exploration_bit_identical_to_local_table(retention):
     reference = Engine(
-        dag_successors, limits=SearchLimits(max_depth=6), retention=retention
+        dag_successors, ExplorationOptions(max_depth=6, retention=retention)
     ).explore(Node(0))
     with WorkerPool(workers=2) as pool:
         engine = ShardedEngine(
             dag_successors,
-            limits=SearchLimits(max_depth=6),
-            shards=2,
-            workers=2,
-            retention=retention,
+            ExplorationOptions(max_depth=6, shards=2, workers=2, retention=retention),
             pool=pool,
             pool_key="dag",
         )
@@ -293,13 +296,15 @@ def test_shared_exploration_bit_identical_to_local_table(retention):
 @needs_shm
 def test_shared_search_returns_identical_witness():
     wanted = lambda node: node.key == 9  # noqa: E731
-    ref_path, ref_result = Engine(dag_successors, limits=SearchLimits(max_depth=6)).search(
+    ref_path, ref_result = Engine(dag_successors, retain_full(max_depth=6)).search(
         Node(0), wanted
     )
     with WorkerPool(workers=2) as pool:
         with ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=6),
-            shards=2, workers=2, pool=pool, pool_key="dag-search",
+            dag_successors,
+            retain_full(max_depth=6, shards=2, workers=2),
+            pool=pool,
+            pool_key="dag-search",
         ) as engine:
             path, result = engine.search(Node(0), wanted)
     assert path == ref_path
@@ -309,11 +314,13 @@ def test_shared_search_returns_identical_witness():
 @needs_fork
 @needs_shm
 def test_shard_partials_merge_by_shared_ids():
-    reference = Engine(dag_successors, limits=SearchLimits(max_depth=6)).explore(Node(0))
+    reference = Engine(dag_successors, retain_full(max_depth=6)).explore(Node(0))
     with WorkerPool(workers=2) as pool:
         with ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=6),
-            shards=3, workers=2, pool=pool, pool_key="dag-partials",
+            dag_successors,
+            retain_full(max_depth=6, shards=3, workers=2),
+            pool=pool,
+            pool_key="dag-partials",
         ) as engine:
             partials = engine.explore_shards(Node(0))
             assert all(isinstance(partial.interning, SharedInternTable) for partial in partials)
@@ -332,7 +339,7 @@ def test_merging_shared_with_plain_results_uses_the_structural_path():
         shared = SearchResult(initial=Node(0), interning=SharedInternTable(store))
         shared.interning.intern(Node(0))
         shared.depths[0] = 0
-        plain = Engine(dag_successors, limits=SearchLimits(max_depth=2)).explore(Node(0))
+        plain = Engine(dag_successors, retain_full(max_depth=2)).explore(Node(0))
         merged = shared.merge(plain)
         assert set(merged.states()) == set(plain.states())
         assert not isinstance(merged.interning, SharedInternTable)
@@ -359,11 +366,13 @@ def test_builtin_container_states_survive_id_packing():
     # Tuple states make the persistent-id type probe match the workers'
     # own result plumbing (tuples holding unhashable lists); the probe
     # must skip those instead of raising TypeError.
-    reference = Engine(tuple_successors, limits=SearchLimits(max_depth=4)).explore((0, 0))
+    reference = Engine(tuple_successors, retain_full(max_depth=4)).explore((0, 0))
     with WorkerPool(workers=2) as pool:
         with ShardedEngine(
-            tuple_successors, limits=SearchLimits(max_depth=4),
-            shards=2, workers=2, pool=pool, pool_key="tuples",
+            tuple_successors,
+            retain_full(max_depth=4, shards=2, workers=2),
+            pool=pool,
+            pool_key="tuples",
         ) as engine:
             assert engine.shared_interning
             merged = engine.explore((0, 0))
@@ -379,8 +388,10 @@ def test_builtin_container_states_survive_id_packing():
 def test_attach_after_respawn_reuses_segment_and_slot():
     with WorkerPool(workers=2) as pool:
         engine = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=6),
-            shards=2, workers=2, pool=pool, pool_key="kill",
+            dag_successors,
+            retain_full(max_depth=6, shards=2, workers=2),
+            pool=pool,
+            pool_key="kill",
         )
         reference = engine.explore(Node(0))
         store = pool.shared_store("kill")
@@ -406,8 +417,7 @@ def test_no_orphaned_segments_after_sigkilled_worker_and_pool_close():
     before = shm_segments()
     pool = WorkerPool(workers=2)
     engine = ShardedEngine(
-        dag_successors, limits=SearchLimits(max_depth=6),
-        shards=2, workers=2, pool=pool, pool_key="leak",
+        dag_successors, retain_full(max_depth=6, shards=2, workers=2), pool=pool, pool_key="leak"
     )
     engine.explore(Node(0))
     created = shm_segments() - before
@@ -424,8 +434,10 @@ def test_no_orphaned_segments_after_sigkilled_worker_and_pool_close():
 def test_release_unlinks_the_context_segment():
     with WorkerPool(workers=2) as pool:
         engine = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=4),
-            shards=2, workers=2, pool=pool, pool_key="released",
+            dag_successors,
+            retain_full(max_depth=4, shards=2, workers=2),
+            pool=pool,
+            pool_key="released",
         )
         engine.explore(Node(0))
         engine.close()
@@ -440,13 +452,13 @@ def test_release_unlinks_the_context_segment():
 @needs_shm
 def test_engine_owned_backend_unlinks_store_on_close():
     before = shm_segments()
-    engine = ShardedEngine(dag_successors, limits=SearchLimits(max_depth=6), shards=2, workers=2)
+    engine = ShardedEngine(dag_successors, retain_full(max_depth=6, shards=2, workers=2))
     merged = engine.explore(Node(0))
     created = shm_segments() - before
     assert engine.shared_interning and created
     engine.close()
     assert shm_segments() - before == set()
-    reference = Engine(dag_successors, limits=SearchLimits(max_depth=6)).explore(Node(0))
+    reference = Engine(dag_successors, retain_full(max_depth=6)).explore(Node(0))
     assert set(merged.states()) == set(reference.states())
 
 
@@ -462,12 +474,14 @@ def test_kill_switch_disables_shared_memory(monkeypatch):
 @needs_fork
 def test_exploration_falls_back_without_shared_memory(monkeypatch):
     monkeypatch.setenv("REPRO_NO_SHM", "1")
-    reference = Engine(dag_successors, limits=SearchLimits(max_depth=6)).explore(Node(0))
+    reference = Engine(dag_successors, retain_full(max_depth=6)).explore(Node(0))
     before = shm_segments()
     with WorkerPool(workers=2) as pool:
         engine = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=6),
-            shards=2, workers=2, pool=pool, pool_key="fallback",
+            dag_successors,
+            retain_full(max_depth=6, shards=2, workers=2),
+            pool=pool,
+            pool_key="fallback",
         )
         assert not engine.shared_interning
         merged = engine.explore(Node(0))
@@ -487,20 +501,24 @@ def test_store_created_after_warm_context_stays_pickled(monkeypatch):
     # store name baked into its workers; a later borrow of the same key
     # (with shared memory back) must keep moving pickled states instead
     # of shipping id-only batches the workers cannot resolve.
-    reference = Engine(dag_successors, limits=SearchLimits(max_depth=6)).explore(Node(0))
+    reference = Engine(dag_successors, retain_full(max_depth=6)).explore(Node(0))
     with WorkerPool(workers=2) as pool:
         monkeypatch.setenv("REPRO_NO_SHM", "1")
         first = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=6), shards=2, workers=2,
-            pool=pool, pool_key="late-store",
+            dag_successors,
+            retain_full(max_depth=6, shards=2, workers=2),
+            pool=pool,
+            pool_key="late-store",
         )
         early = first.explore(Node(0))  # forks the context without a store
         assert not first.shared_interning
         first.close()
         monkeypatch.delenv("REPRO_NO_SHM")
         second = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=6), shards=2, workers=2,
-            pool=pool, pool_key="late-store",
+            dag_successors,
+            retain_full(max_depth=6, shards=2, workers=2),
+            pool=pool,
+            pool_key="late-store",
         )
         late = second.explore(Node(0))
         assert not second.shared_interning
@@ -514,19 +532,23 @@ def test_store_created_after_warm_context_stays_pickled(monkeypatch):
 @needs_fork
 @needs_shm
 def test_explicit_false_forces_classic_traffic():
-    reference = Engine(dag_successors, limits=SearchLimits(max_depth=6)).explore(Node(0))
+    reference = Engine(dag_successors, retain_full(max_depth=6)).explore(Node(0))
     with WorkerPool(workers=2) as pool:
         engine = ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=6), shards=2, workers=2,
-            pool=pool, pool_key="classic", shared_interning=False,
+            dag_successors,
+            retain_full(max_depth=6, shards=2, workers=2, shared_interning=False),
+            pool=pool,
+            pool_key="classic",
         )
         merged = engine.explore(Node(0))
         assert not engine.shared_interning
         engine.close()
         # The same warm context serves a shared-interning engine next.
         with ShardedEngine(
-            dag_successors, limits=SearchLimits(max_depth=6), shards=2, workers=2,
-            pool=pool, pool_key="classic",
+            dag_successors,
+            retain_full(max_depth=6, shards=2, workers=2),
+            pool=pool,
+            pool_key="classic",
         ) as shared_engine:
             shared = shared_engine.explore(Node(0))
             assert shared_engine.shared_interning

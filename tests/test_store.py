@@ -36,7 +36,7 @@ from repro.errors import StoreError
 from repro.fol.parser import parse_query
 from repro.modelcheck.convergence import reachability_bound_sweep, state_space_bound_sweep
 from repro.modelcheck.result import Verdict
-from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors
 from repro.search import RETAIN_COUNTS, RETAIN_FULL, RETAIN_PARENTS
 from repro.store import (
@@ -295,12 +295,12 @@ def test_schema_change_invalidates_only_that_family(cycle_system, tmp_path):
 # -- delta verification --------------------------------------------------------
 
 
-def _explore(system, bound, store, subset=True):
+def _explore(system, bound, store):
     """One recency exploration through :func:`cached_compute`."""
-    limits = RecencyExplorationLimits(max_depth=4)
+    options = ExplorationOptions(max_depth=4, retention="full")
 
     def compute(successors):
-        explorer = RecencyExplorer(system, bound, limits, successors=successors)
+        explorer = RecencyExplorer(system, bound, options, successors=successors)
         return explorer.explore()
 
     return cached_compute(
@@ -309,14 +309,8 @@ def _explore(system, bound, store, subset=True):
         graph=f"recency:{bound}",
         parameters={"payload": "exploration", "max_depth": 4, "strategy": "bfs"},
         compute=compute,
-        capture_base=lambda configuration: enumerate_b_bounded_successors(
-            system, configuration, bound
-        ),
-        enumerate_subset=(
-            (lambda configuration, actions: enumerate_b_bounded_successors(
-                system, configuration, bound, actions
-            ))
-            if subset else None
+        successors=lambda configuration, actions=None: enumerate_b_bounded_successors(
+            system, configuration, bound, actions
         ),
     )
 

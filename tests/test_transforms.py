@@ -93,11 +93,14 @@ def test_weaken_freshness_records_history(example31):
 
 def test_weakened_system_allows_reusing_values(example31):
     """After one alpha, a historical variant can re-link an existing value."""
-    from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+    from repro.recency.explorer import RecencyExplorer
+    from repro.search import ExplorationOptions
 
     weakened = weaken_freshness(example31)
     explorer = RecencyExplorer(
-        weakened, None, RecencyExplorationLimits(max_depth=2, max_configurations=3000)
+        weakened,
+        None,
+        ExplorationOptions(max_depth=2, max_configurations=3000, retention="full"),
     )
     witness, _ = explorer.find_configuration(
         lambda conf: any(
@@ -213,11 +216,14 @@ def test_simulate_bulk_action_produces_protocol_actions():
 
 def test_bulk_protocol_flushes_all_products():
     """After the protocol completes, every TBO product is in the new order (Example F.4)."""
-    from repro.recency.explorer import RecencyExplorationLimits, RecencyExplorer
+    from repro.recency.explorer import RecencyExplorer
+    from repro.search import ExplorationOptions
 
     system = warehouse_system()
     explorer = RecencyExplorer(
-        system, bound=4, limits=RecencyExplorationLimits(max_depth=11, max_configurations=20000)
+        system,
+        bound=4,
+        options=ExplorationOptions(max_depth=11, max_configurations=20000, retention="full"),
     )
 
     def two_products_ordered(configuration):
