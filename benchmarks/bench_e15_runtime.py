@@ -13,10 +13,10 @@ acceptance criteria):
   grid (state-space size over the booking study, recency bounds 2–5)
   run through the sweep scheduler at 4 workers must be ≥ 1.5× faster
   than the sequential run of the same grid.
-* **Resume reproduces the row set** — a sweep interrupted after N
-  points and resumed from its JSONL checkpoint must produce rows
-  bit-identical to an uninterrupted run, recomputing only the missing
-  points.
+* **Resume reproduces the row set** — a store-backed sweep interrupted
+  after N points and re-run against the same result store must produce
+  rows bit-identical to an uninterrupted run, recomputing only the
+  missing points.
 
 Row equality is asserted **unconditionally** on every host.  The two
 timing assertions only make sense where the runtime can actually win:
@@ -33,15 +33,16 @@ import time
 
 from repro.casestudies.booking import booking_agency_system
 from repro.harness.reporting import print_experiment
+from repro.modelcheck.convergence import state_space_bound_sweep
 from repro.recency.explorer import RecencyExplorer
-from repro.runtime import SweepCheckpoint, WorkerPool
+from repro.runtime import SweepScheduler, WorkerPool
 from repro.search import (
     RETAIN_COUNTS,
     ExplorationOptions,
     process_backend_available,
     usable_cpu_count,
 )
-from repro.workloads.sweeps import sweep
+from repro.store import ResultStore
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 FORK = process_backend_available()
@@ -66,8 +67,8 @@ def _convergence_grid(quick: bool) -> list[dict]:
     return [{"b": bound, "max_depth": 4 if quick else 5} for bound in (2, 3, 4, 5)]
 
 
-def _rows(points) -> list[dict]:
-    return [point.as_row() for point in points]
+def _rows(records) -> list[dict]:
+    return [record.as_row() for record in records]
 
 
 # -- warm pool vs per-call pool -----------------------------------------------
@@ -148,11 +149,11 @@ def parallel_vs_sequential_grid(quick: bool) -> list[dict]:
     grid = _convergence_grid(quick)
 
     started = time.perf_counter()
-    sequential = sweep(grid, _convergence_measure)
+    sequential = SweepScheduler().run(grid, _convergence_measure)
     sequential_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = sweep(grid, _convergence_measure, parallel=4)
+    parallel = SweepScheduler(parallel=4).run(grid, _convergence_measure)
     parallel_seconds = time.perf_counter() - started
 
     identical = _rows(sequential) == _rows(parallel)
@@ -186,42 +187,41 @@ def test_e15_parallel_grid_vs_sequential(benchmark, run_once):
         assert parallel["speedup"] >= 1.5, parallel
 
 
-# -- checkpoint / resume equivalence ------------------------------------------
+# -- resume through the result store ------------------------------------------
 
 
-def resume_round_trip(quick: bool, checkpoint_path) -> list[dict]:
-    """Interrupt a checkpointed sweep after 2 points, resume, compare rows."""
+def resume_round_trip(quick: bool, store_path) -> list[dict]:
+    """Interrupt a store-backed sweep after 2 points, re-run it, compare rows.
+
+    The store saves each point as it completes, so a sequential sweep
+    killed after two points leaves exactly what a finished sweep over the
+    first two bounds leaves; the re-run serves those and computes the rest.
+    """
     grid = _convergence_grid(True)  # the cheap depth keeps this unconditional
-    checkpoint = SweepCheckpoint(checkpoint_path)
-
-    uninterrupted = sweep(grid, _convergence_measure, checkpoint=checkpoint)
-    # Records are separated by blank isolator lines; keep records only.
-    lines = [line for line in checkpoint.path.read_text().splitlines() if line.strip()]
+    bounds, depth = tuple(point["b"] for point in grid), grid[0]["max_depth"]
     completed_before_kill = 2
-    checkpoint.path.write_text("\n".join(lines[:completed_before_kill]) + "\n")
 
-    recomputed = []
-    resumed = sweep(
-        grid,
-        _convergence_measure,
-        checkpoint=checkpoint,
-        resume=True,
-        on_point=lambda record: recomputed.append(record.index) if not record.cached else None,
+    uninterrupted = state_space_bound_sweep(_BOOKING, bounds, depth, store=False)
+    state_space_bound_sweep(
+        _BOOKING, bounds[:completed_before_kill], depth, store=ResultStore(store_path)
     )
+    store = ResultStore(store_path)  # the re-run's own session counters
+    resumed = state_space_bound_sweep(_BOOKING, bounds, depth, store=store)
+    statistics = store.stats()
     return [
         {
-            "points": len(grid),
+            "points": len(bounds),
             "completed_before_kill": completed_before_kill,
-            "recomputed_after_resume": len(recomputed),
-            "rows_identical": _rows(resumed) == _rows(uninterrupted),
-            "memo_complete": len(checkpoint.load()) == len(grid),
+            "recomputed_after_resume": statistics["session"]["misses"].get("result", 0),
+            "rows_identical": resumed == uninterrupted,
+            "memo_complete": statistics["results"] == len(bounds),
         }
     ]
 
 
 def test_e15_checkpoint_resume_equivalence(benchmark, run_once, tmp_path):
-    rows = run_once(benchmark, resume_round_trip, QUICK, tmp_path / "e15.jsonl")
-    print_experiment("E15", "Checkpointed sweep resume round trip", rows)
+    rows = run_once(benchmark, resume_round_trip, QUICK, tmp_path / "e15.store")
+    print_experiment("E15", "Store-backed sweep resume round trip", rows)
     row = rows[0]
     assert row["rows_identical"], row
     assert row["recomputed_after_resume"] == row["points"] - row["completed_before_kill"], row

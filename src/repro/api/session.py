@@ -29,35 +29,21 @@ different systems or graphs proceed concurrently.
 
 from __future__ import annotations
 
-import base64
-import pickle
 import threading
 from typing import Callable
 
 from repro.api import query as api_query
 from repro.dms.system import DMS
-from repro.errors import ModelCheckingError, QueryTimeoutError, SchedulerError, SessionError
+from repro.errors import ModelCheckingError, QueryTimeoutError, SessionError, WorkerPoolError
 from repro.fol.syntax import Query
 from repro.modelcheck.result import ReachabilityResult
 from repro.obs.metrics import resolve_metrics
 from repro.runtime.pool import WorkerPool
-from repro.runtime.scheduler import SweepScheduler
 from repro.search import ExplorationOptions
 from repro.store.canonical import system_hash
 from repro.store.service import resolve_store
 
 __all__ = ["Session"]
-
-
-def _encode_condition(condition: Query) -> str:
-    """A pickle-round-trippable string form of a query condition.
-
-    Isolated queries travel to their warm worker as a flat parameter
-    dict of JSON scalars (the sweep scheduler's canonical domain), so a
-    structured :class:`~repro.fol.syntax.Query` is shipped as a base64
-    pickle and decoded worker-side.
-    """
-    return base64.b64encode(pickle.dumps(condition)).decode("ascii")
 
 
 class Session:
@@ -201,11 +187,12 @@ class Session:
         are bit-identical to :meth:`run_reachability` — the worker
         forces the single-shard engine, and execution shape never
         changes results.  Where fork is unavailable the query degrades
-        to the in-process fallback (``timeout`` is then unenforceable,
-        matching the scheduler's sequential semantics).
+        to the in-process fallback (``timeout`` is then unenforceable).
+        Any other failure on the worker raises
+        :class:`~repro.errors.WorkerPoolError`.
 
         Best-first queries are inline-only: a heuristic callable cannot
-        travel to a warm worker through the flat parameter dict.
+        travel to a warm worker.
         """
         self._ensure_open()
         effective = (options or self._options).replace(shards=1, workers=1, nodes=1)
@@ -219,53 +206,44 @@ class Session:
         # worker failure.
         api_query.instance_predicate(condition, system)
         key = ("api-query", system_hash(system), "dms" if bound is None else f"recency:{bound}")
-        parameters = {
-            "payload": "api-isolated",
-            "condition_kind": "proposition" if isinstance(condition, str) else "query",
-            "condition": condition if isinstance(condition, str) else _encode_condition(condition),
-            "bound": bound,
-            **effective.result_fields(),
-        }
         registry = resolve_metrics(self._metrics)
         registry.counter("api_queries_total", path="isolated").inc()
-        scheduler = SweepScheduler(
-            parallel=1, pool=self.pool, timeout=timeout, context_key=key
-        )
         with self._lock_for(key), registry.histogram("api_query_seconds", path="isolated").time():
-            try:
-                records = scheduler.run([parameters], self._isolated_measure(system))
-            except SchedulerError as error:
-                if "timeout:" in str(error):
-                    registry.counter("api_query_timeouts_total").inc()
-                    raise QueryTimeoutError(
-                        f"reachability query exceeded its {timeout}s budget "
-                        f"(worker killed; the session stays healthy)"
-                    ) from error
-                raise
-        return records[0].measurements["result"]
+            context = self.pool.context(key, self._isolated_query(system), workers=1)
+            # A query abandoned mid-wait (an exception out of the loop
+            # below) may have left its task behind; shed it so its
+            # completion cannot be mistaken for this query's.
+            context.reset()
+            task_id = context.submit((condition, bound, effective.result_fields()))
+            for finished, result, error in context.events(task_timeout=timeout):
+                if finished == task_id:
+                    break
+            if error is not None and error.startswith("timeout:"):
+                registry.counter("api_query_timeouts_total").inc()
+                raise QueryTimeoutError(
+                    f"reachability query exceeded its {timeout}s budget "
+                    f"(worker killed; the session stays healthy)"
+                )
+            if error is not None:
+                raise WorkerPoolError(f"isolated reachability query failed: {error}")
+        return result
 
-    def _isolated_measure(self, system: DMS):
-        """The per-context measure function isolated queries execute.
+    def _isolated_query(self, system: DMS):
+        """The per-context function isolated queries execute.
 
-        Forked into the warm workers with ``system`` and the resolved
-        store closed over (the store object is fork-safe); each call's
-        condition and limits arrive through the parameter dict.
+        Forked into the warm worker with ``system`` and the resolved
+        store closed over (the store object is fork-safe); each task is
+        a pickled ``(condition, bound, result fields)`` triple.
         """
         store = self._effective_store()
 
-        def measure(parameters: dict) -> dict:
-            condition = parameters["condition"]
-            if parameters["condition_kind"] == "query":
-                condition = pickle.loads(base64.b64decode(condition))
-            options = ExplorationOptions(
-                **{name: parameters[name] for name in ExplorationOptions.RESULT_FIELDS}
+        def query(task) -> ReachabilityResult:
+            condition, bound, fields = task
+            return api_query.run_reachability(
+                system, condition, bound=bound, options=ExplorationOptions(**fields), store=store
             )
-            result = api_query.run_reachability(
-                system, condition, bound=parameters["bound"], options=options, store=store
-            )
-            return {"result": result}
 
-        return measure
+        return query
 
     # -- convergence -----------------------------------------------------------
 

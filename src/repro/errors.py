@@ -76,7 +76,7 @@ class WorkerPoolError(ReproError):
 
 
 class SchedulerError(ReproError):
-    """A sweep point failed permanently (error or timeout after all retries)."""
+    """A sweep point failed (its measure raised, or its worker failed)."""
 
 
 class DistributedError(ReproError):

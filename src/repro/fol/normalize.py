@@ -7,7 +7,6 @@ used by the Appendix D reductions), and bound-variable standardisation.
 
 from __future__ import annotations
 
-from repro.fol.active import fresh_variable_names
 from repro.fol.syntax import (
     And,
     Atom,
@@ -184,7 +183,3 @@ def quantifier_depth(query: Query) -> int:
 def count_data_variables(query: Query) -> int:
     """Number of distinct data variables (the ``n`` of the §6.6 complexity bound)."""
     return len(query.variables())
-
-
-def _unused_fresh_names(count: int, avoid: set) -> tuple[str, ...]:
-    return fresh_variable_names(count, frozenset(avoid))

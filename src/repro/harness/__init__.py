@@ -1,9 +1,10 @@
 """Experiment harness regenerating every figure/example artefact of the paper.
 
 Runnable as a CLI (``python -m repro.harness``) with runtime-layer
-options — ``--parallel`` executes grid experiments concurrently on warm
-worker pools, ``--checkpoint``/``--resume`` persist and reuse completed
-sweep points, ``--stream`` prints rows as they complete.  See
+options — ``--parallel`` executes grid experiments concurrently on
+forked workers, ``--store`` serves completed sweep points from the
+content-addressed result store (so a re-run resumes an interrupted
+sweep), ``--stream`` prints rows as they complete.  See
 :mod:`repro.harness.cli`.
 """
 

@@ -9,14 +9,15 @@ Experiments whose grids run on the runtime layer accept scheduling
 options; E9 supports the full set::
 
     PYTHONPATH=src python -m repro.harness E9 --parallel 4 \
-        --checkpoint e9.jsonl --stream          # parallel, checkpointed
-    PYTHONPATH=src python -m repro.harness E9 --checkpoint e9.jsonl \
-        --resume                                # reuse completed points
+        --store e9.store --stream               # parallel, memoised
+    PYTHONPATH=src python -m repro.harness E9 --store e9.store
+                                                # reuse completed points
 
-``--resume`` serves already-checkpointed points from the JSONL memo, so
-an interrupted sweep continues where it stopped and reproduces the
-exact row set of an uninterrupted run.  ``--stream`` prints each point
-as it completes (completion order) before the final table.
+``--stream`` prints each point as it completes (completion order)
+before the final table.  Completed points are memoised by the result
+store (below): re-running an interrupted sweep against the same
+``--store`` serves every point it finished and recomputes only the
+rest, reproducing the exact row set of an uninterrupted run.
 
 The distributed layer (:mod:`repro.distributed`) is driven with three
 options::
@@ -77,7 +78,7 @@ __all__ = ["main"]
 # Which experiments understand which runtime options; anything else is
 # rejected instead of silently ignored.
 _PARALLEL_AWARE = ("E9", "E13", "E14")
-_CHECKPOINT_AWARE = ("E9",)
+_STREAM_AWARE = ("E9",)
 _QUICK_AWARE = ("E13", "E14", "E19", "E22")
 _NODES_AWARE = ("E14",)
 _STORE_AWARE = ("E9",)
@@ -122,10 +123,7 @@ def _runner(identifier: str, options: argparse.Namespace, smoke: bool, transport
     """
     if identifier == "E9":
         return lambda: experiments.experiment_e9_convergence(
-            parallel=options.parallel,
-            checkpoint=options.checkpoint,
-            resume=options.resume,
-            store=store,
+            parallel=options.parallel, store=store
         )
     if identifier == "E13":
         return lambda: experiments.experiment_e13_engine(
@@ -160,14 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--parallel", type=int, default=1,
         help="concurrent sweep points for grid experiments (E9/E13/E14)",
-    )
-    parser.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file for E9 (written as points complete)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="serve already-checkpointed E9 points from the memo",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -233,11 +223,8 @@ def main(argv: list[str] | None = None) -> int:
     if requested != "all":
         if options.parallel != 1 and requested not in _PARALLEL_AWARE:
             parser.error(f"--parallel applies to {'/'.join(_PARALLEL_AWARE)}, not {requested}")
-        if (options.checkpoint or options.resume or options.stream) and requested not in _CHECKPOINT_AWARE:
-            parser.error(
-                f"--checkpoint/--resume/--stream apply to {'/'.join(_CHECKPOINT_AWARE)}, "
-                f"not {requested}"
-            )
+        if options.stream and requested not in _STREAM_AWARE:
+            parser.error(f"--stream applies to {'/'.join(_STREAM_AWARE)}, not {requested}")
         if options.quick and requested not in _QUICK_AWARE:
             parser.error(f"--quick applies to {'/'.join(_QUICK_AWARE)}, not {requested}")
         if options.nodes != 1 and requested not in _NODES_AWARE:
@@ -249,8 +236,6 @@ def main(argv: list[str] | None = None) -> int:
             )
     if options.store and options.no_store:
         parser.error("--store and --no-store are mutually exclusive")
-    if options.resume and not options.checkpoint:
-        parser.error("--resume requires --checkpoint (the JSONL memo to resume from)")
     if options.nodes < 1:
         parser.error("--nodes must be positive")
     if options.coordinator is not None and options.nodes == 1:
@@ -300,8 +285,6 @@ def main(argv: list[str] | None = None) -> int:
                     experiments.experiment_e9_convergence,
                     progress=progress,
                     parallel=options.parallel,
-                    checkpoint=options.checkpoint,
-                    resume=options.resume,
                     store=store,
                 )
                 continue

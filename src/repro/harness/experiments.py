@@ -366,8 +366,6 @@ def experiment_e9_convergence(
     max_depth: int = 5,
     *,
     parallel: int = 1,
-    checkpoint=None,
-    resume: bool = False,
     store=None,
     on_point=None,
 ) -> list[dict]:
@@ -375,14 +373,13 @@ def experiment_e9_convergence(
 
     Both bound sweeps run through the runtime's sweep scheduler:
     ``parallel`` executes their cells concurrently on forked workers,
-    ``checkpoint``/``resume`` persist completed cells to a shared JSONL
-    memo (an interrupted run resumed from it reproduces the exact row
-    set; the memo is content-keyed, so the two sweeps coexist in one
-    file), and ``on_point`` streams records as cells complete.  Rows are
+    and ``on_point`` streams records as cells complete.  Rows are
     identical for every parallelism level.  ``store`` serves repeat
-    cells from the content-addressed result store (:mod:`repro.store`) —
-    cross-run, unlike the checkpoint memo; ``False`` disables it even
-    when ``REPRO_STORE`` is set.
+    cells from the content-addressed result store (:mod:`repro.store`),
+    so a run interrupted midway and re-run against the same store
+    recomputes only the cells it had not finished and reproduces the
+    exact row set; ``False`` disables the store even when
+    ``REPRO_STORE`` is set.
     """
     from repro.fol.parser import parse_query
 
@@ -394,8 +391,7 @@ def experiment_e9_convergence(
     condition = parse_query("!p & exists u. Q(u)")
     reach = reachability_bound_sweep(
         system, condition, bounds=(0, 1, 2, 3), max_depth=max_depth,
-        parallel=parallel, checkpoint=checkpoint, resume=resume, store=store,
-        on_point=on_point,
+        parallel=parallel, store=store, on_point=on_point,
     )
     for entry in reach:
         rows.append(
@@ -408,13 +404,9 @@ def experiment_e9_convergence(
                 "edges": entry.edges,
             }
         )
-    # The second sweep appends to the same memo: resume whenever a
-    # checkpoint exists so it never clears the first sweep's records
-    # (content keys keep the two sweeps' cells apart).
     space = state_space_bound_sweep(
         system, bounds=(0, 1, 2), max_depth=max_depth - 1,
-        parallel=parallel, checkpoint=checkpoint,
-        resume=resume or checkpoint is not None, store=store, on_point=on_point,
+        parallel=parallel, store=store, on_point=on_point,
     )
     for entry in space:
         rows.append(
@@ -717,7 +709,7 @@ def experiment_e14_sharded(
     import time
 
     from repro.fol.syntax import Atom, Exists
-    from repro.workloads.sweeps import sweep
+    from repro.runtime import SweepScheduler
 
     grid = ((1, 1), (4, 1), (4, 2), (4, 4))
     cases = [
@@ -750,10 +742,8 @@ def experiment_e14_sharded(
                 "seconds": seconds,
             }
 
-        points = sweep(
-            [{"shards": shards, "workers": workers} for shards, workers in grid],
-            measure,
-            parallel=parallel,
+        points = SweepScheduler(parallel=parallel).run(
+            [{"shards": shards, "workers": workers} for shards, workers in grid], measure
         )
         baseline = points[0].measurements  # grid order: (1, 1) is always first
         for point in points:

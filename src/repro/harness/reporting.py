@@ -56,18 +56,17 @@ def format_row(row: Mapping) -> str:
 def point_printer(identifier: str, out: Callable[[str], None] | None = None) -> Callable:
     """An ``on_point`` callback printing each completed sweep point.
 
-    Suitable for :func:`repro.workloads.sweeps.sweep` and the
+    Suitable for :meth:`repro.runtime.SweepScheduler.run` and the
     experiment functions that accept ``on_point``: every record is
-    printed the moment its grid point completes (checkpoint-cached
-    points are marked ``memo``), so long-running parallel sweeps report
-    progress instead of going dark until the final table.  ``out``
-    defaults to printing on stderr (resolved per line, so redirection
-    works), keeping stdout clean for the final table.
+    printed the moment its grid point completes, so long-running
+    parallel sweeps report progress instead of going dark until the
+    final table.  ``out`` defaults to printing on stderr (resolved per
+    line, so redirection works), keeping stdout clean for the final
+    table.
     """
 
     def on_point(record) -> None:
-        source = "memo" if getattr(record, "cached", False) else "run"
-        line = f"[{identifier}] point {record.index} ({source}): {format_row(record.as_row())}"
+        line = f"[{identifier}] point {record.index}: {format_row(record.as_row())}"
         if out is not None:
             out(line)
         else:
@@ -92,7 +91,7 @@ def stream_experiment(
 ) -> list:
     """Run ``experiment(on_point=...)`` streaming, then print the table.
 
-    ``options`` (``parallel=``, ``checkpoint=``, ``resume=``, depths …)
+    ``options`` (``parallel=``, ``store=``, depths …)
     are forwarded to the experiment function; the streaming callback is
     injected and writes to stderr.  ``progress`` is an optional
     :class:`repro.obs.ProgressReporter` chained onto the same callback

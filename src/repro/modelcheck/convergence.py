@@ -13,22 +13,21 @@ strategy, retention and execution shape — and asks its questions through
 :func:`repro.api.run_reachability`; ``max_depth`` stays a positional
 parameter and overrides the options' depth.
 
-The bound sweeps are grids of independent points, so both sweep
-functions execute through the runtime's
+The bound sweeps are grids of independent ``{"b": bound}`` points, so
+both run through the runtime's
 :class:`~repro.runtime.scheduler.SweepScheduler`: ``parallel=`` runs
-points concurrently on forked workers, ``checkpoint=``/``resume=``
-persist completed points to a JSONL memo and resume interrupted sweeps,
-and ``pool=`` lends warm expansion workers to the explorations of a
-*sequential* sweep (a parent pool is never used from inside forked
-point workers).  Rows are identical regardless of parallelism or
-completion order.
+points concurrently on forked workers, and ``pool=`` lends warm
+expansion workers to the explorations of a *sequential* sweep (a parent
+pool is never used from inside forked point workers).  Rows are
+identical regardless of parallelism or completion order.
 
 Every sweep additionally accepts ``store=`` (a path, a
 :class:`repro.store.ResultStore`, ``False`` to disable; ``None``
-consults ``REPRO_STORE``): points are then served from the
-content-addressed result store in O(lookup) on repeat runs — across
-processes and sessions, unlike the per-file checkpoint memo — with rows
-bit-identical to cold exploration.  The store object is fork-safe, so
+consults ``REPRO_STORE``): the content-addressed result store is the one
+memo of sweep points.  Repeat points are served in O(lookup) — across
+processes and sessions — with rows bit-identical to cold exploration,
+and re-running an interrupted sweep against the same store recomputes
+only the points it had not finished.  The store object is fork-safe, so
 ``parallel > 1`` sweeps share one store across their point workers.
 """
 
@@ -61,45 +60,24 @@ class BoundSweepEntry:
         return (self.bound, self.verdict.value, self.configurations, self.edges)
 
 
-def _heuristic_key(heuristic) -> str | None:
-    """A (best-effort) stable memo-key component for a search heuristic.
+def _bound_rows(bounds, measure, parallel: int, on_point) -> tuple[BoundSweepEntry, ...]:
+    """Run ``measure`` over ``{"b": bound}`` points; one entry per bound, in order.
 
-    Heuristics are callables, so the key uses the qualified name — stable
-    across runs for named functions and per-definition-site for lambdas.
-    Distinct heuristics defined at the same site would collide; name your
-    heuristic when checkpointing a best-first sweep.
+    A measurement without a ``"verdict"`` (the state-space sweep asks no
+    question) reports :attr:`Verdict.UNKNOWN`.
     """
-    if heuristic is None:
-        return None
-    return getattr(heuristic, "__qualname__", repr(heuristic))
-
-
-def _memo_grid(
-    sweep: str,
-    system: DMS,
-    bounds: tuple[int, ...],
-    options: ExplorationOptions,
-    checkpoint,
-    **fields,
-) -> list[dict]:
-    """The sweep's grid: one content-keyed parameter assignment per bound.
-
-    The keys name everything that determines a row except the execution
-    shape, which never changes results.  A checkpoint outlives the
-    system object it was written for, so its keys also carry the
-    system's content hash: variants sharing a name (``drop_action_variant``
-    keeps it) never serve each other's rows.  Without a checkpoint the
-    hash is skipped — no memo reads the keys, and warm sweeps stay cheap.
-    """
-    shared = {**options.result_fields(), "heuristic": _heuristic_key(options.heuristic)}
-    if checkpoint is not None:
-        from repro.store.canonical import system_hash
-
-        shared["system_hash"] = system_hash(system)
-    return [
-        {"sweep": sweep, "system": system.name, **fields, "b": bound, **shared}
-        for bound in bounds
-    ]
+    records = SweepScheduler(parallel=parallel).run(
+        [{"b": bound} for bound in bounds], measure, on_point=on_point
+    )
+    return tuple(
+        BoundSweepEntry(
+            bound=record.parameters["b"],
+            verdict=Verdict(record.measurements.get("verdict", Verdict.UNKNOWN.value)),
+            configurations=record.measurements["configurations"],
+            edges=record.measurements["edges"],
+        )
+        for record in records
+    )
 
 
 def _point_store(store):
@@ -122,10 +100,6 @@ def reachability_bound_sweep(
     pool=None,
     store=None,
     parallel: int = 1,
-    timeout: float | None = None,
-    retries: int = 0,
-    checkpoint=None,
-    resume: bool = False,
     on_point=None,
 ) -> tuple[BoundSweepEntry, ...]:
     """Reachability verdict and explored state space for increasing bounds.
@@ -137,14 +111,11 @@ def reachability_bound_sweep(
     (any-shard truncation reports ``UNKNOWN``, never ``FAILS``).
 
     ``parallel`` runs the bounds concurrently through the sweep
-    scheduler; ``checkpoint``/``resume`` memoise completed bounds.  The
-    memo is content-keyed on what determines the result — sweep kind,
-    system (name, plus content hash under a checkpoint), condition,
-    bound, limits, strategy, heuristic (by qualified name) and retention,
-    but not the execution shape — so a shared checkpoint file cannot
-    serve one query's rows to another.  ``pool`` lends warm expansion
-    workers to sequential sweeps only.  ``on_point`` streams each
-    completed bound.
+    scheduler; ``store`` serves completed bounds from the result store,
+    whose keys carry everything that determines a row (system content,
+    condition, bound and result fields), never the execution shape.
+    ``pool`` lends warm expansion workers to sequential sweeps only.
+    ``on_point`` streams each completed bound.
     """
     from repro.api.query import run_reachability
 
@@ -163,24 +134,7 @@ def reachability_bound_sweep(
             "edges": result.edges_explored,
         }
 
-    grid = _memo_grid(
-        "reachability-bound", system, bounds, effective, checkpoint,
-        condition=condition if isinstance(condition, str) else repr(condition),
-    )
-    scheduler = SweepScheduler(
-        parallel=parallel, timeout=timeout, retries=retries,
-        checkpoint=checkpoint, resume=resume,
-    )
-    records = scheduler.run(grid, measure, on_point=on_point)
-    return tuple(
-        BoundSweepEntry(
-            bound=record.parameters["b"],
-            verdict=Verdict(record.measurements["verdict"]),
-            configurations=record.measurements["configurations"],
-            edges=record.measurements["edges"],
-        )
-        for record in records
-    )
+    return _bound_rows(bounds, measure, parallel, on_point)
 
 
 def state_space_bound_sweep(
@@ -192,10 +146,6 @@ def state_space_bound_sweep(
     pool=None,
     store=None,
     parallel: int = 1,
-    timeout: float | None = None,
-    retries: int = 0,
-    checkpoint=None,
-    resume: bool = False,
     on_point=None,
 ) -> tuple[BoundSweepEntry, ...]:
     """How many configurations/edges are explored as the bound grows (no property).
@@ -203,10 +153,10 @@ def state_space_bound_sweep(
     Only sizes are reported, so without ``options`` the sweep explores
     with ``"counts-only"`` retention: no edge objects are held in
     memory.  Given options are used whole, with ``max_depth`` applied;
-    ``parallel``/``checkpoint``/``resume`` schedule the points as in
-    :func:`reachability_bound_sweep`, with the memo content-keyed the
-    same way.  ``store`` serves repeat points from the content-addressed
-    result store (exploration results cached whole).
+    ``parallel`` schedules the points as in
+    :func:`reachability_bound_sweep`.  ``store`` serves repeat points
+    from the content-addressed result store (exploration results cached
+    whole).
     """
     from repro.store.service import cached_compute
 
@@ -241,21 +191,7 @@ def state_space_bound_sweep(
             "edges": result.edge_count,
         }
 
-    grid = _memo_grid("state-space-bound", system, bounds, effective, checkpoint)
-    scheduler = SweepScheduler(
-        parallel=parallel, timeout=timeout, retries=retries,
-        checkpoint=checkpoint, resume=resume,
-    )
-    records = scheduler.run(grid, measure, on_point=on_point)
-    return tuple(
-        BoundSweepEntry(
-            bound=record.parameters["b"],
-            verdict=Verdict.UNKNOWN,
-            configurations=record.measurements["configurations"],
-            edges=record.measurements["edges"],
-        )
-        for record in records
-    )
+    return _bound_rows(bounds, measure, parallel, on_point)
 
 
 def convergence_bound(

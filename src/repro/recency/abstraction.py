@@ -95,17 +95,6 @@ class SymbolicLabel:
         return f"⟨{self.action_name}:{self.substitution}⟩"
 
 
-def _is_valid_symbolic_substitution(action: Action, mapping: Mapping[str, int], bound: int) -> bool:
-    for position, fresh_variable in enumerate(action.fresh, start=1):
-        if mapping.get(fresh_variable) != -position:
-            return False
-    for parameter in action.parameters:
-        index = mapping.get(parameter)
-        if index is None or not 0 <= index <= bound - 1:
-            return False
-    return len(mapping) == len(action.parameters) + len(action.fresh)
-
-
 def symbolic_substitutions_for_action(action: Action, bound: int) -> tuple[SymbolicSubstitution, ...]:
     """``SymSubs(α, b)``: all symbolic substitutions satisfying r1–r2."""
     if bound < 0:

@@ -35,6 +35,7 @@ from repro.search import (
     ShardedEngine,
     iterate_paths,
 )
+from repro.store.canonical import system_hash
 
 __all__ = ["RecencyExplorationResult", "RecencyExplorer", "iterate_b_bounded_runs"]
 
@@ -96,9 +97,9 @@ class RecencyExplorer:
             automatically.
         pool: a :class:`repro.runtime.WorkerPool` to borrow warm
             expansion workers from (single-node sharded explorations
-            only).  The pool context is keyed by ``(system, bound)``, so
-            explorer instances over the same case-study context share
-            the same warm workers.
+            only).  The pool context is keyed by the system's content
+            hash and the bound, so explorers over equal systems — even
+            distinct objects — share the same warm workers.
         successors: advanced — replace the canonical successor function
             with a semantics-equivalent callable (the result store's
             recording/delta wrappers, :mod:`repro.store.capture`).
@@ -176,7 +177,9 @@ class RecencyExplorer:
                 successors,
                 options,
                 pool=self._pool if options.nodes == 1 else None,
-                pool_key=("recency", id(system), bound) if self._pool is not None else None,
+                pool_key=(
+                    ("recency", system_hash(system), bound) if self._pool is not None else None
+                ),
                 context=context,
             )
         return self._engine_instance

@@ -11,22 +11,19 @@ running many explorations, where the engine owns a single exploration.
   borrows expansion backends from it instead of paying a fork+teardown
   cycle per ``explore()`` call.
 * :class:`~repro.runtime.scheduler.SweepScheduler` — executes sweep and
-  experiment grids concurrently on the pool with bounded parallelism,
-  per-point timeout/retry, and results that are identical regardless of
-  completion order.
-* :class:`~repro.runtime.checkpoint.SweepCheckpoint` — streaming JSONL
-  record of completed points enabling ``resume`` of interrupted sweeps
-  and content-keyed memoisation.
+  experiment grids concurrently on forked workers with bounded
+  parallelism, streaming each point as it completes, with results that
+  are identical regardless of completion order.
+
+Completed sweep points are memoised by the content-addressed result
+store (:mod:`repro.store`), not by this package: a sweep re-run against
+the same store serves every point it already computed.
 
 Quick start::
 
-    from repro.runtime import SweepScheduler, WorkerPool
+    from repro.runtime import SweepScheduler
 
-    with WorkerPool(workers=4) as pool:
-        scheduler = SweepScheduler(
-            parallel=4, pool=pool, checkpoint="sweep.jsonl", resume=True
-        )
-        records = scheduler.run(grid, measure)   # grid-order, memo-backed
+    records = SweepScheduler(parallel=4).run(grid, measure)   # grid order
 
 Everything degrades deterministically: without the ``fork`` start
 method (or with one worker) pools fall back to in-process execution and
@@ -34,7 +31,6 @@ the scheduler runs points sequentially — identical rows, no processes.
 """
 
 from repro.errors import SchedulerError, WorkerPoolError
-from repro.runtime.checkpoint import SweepCheckpoint, canonical_parameters, point_key
 from repro.runtime.pool import (
     DEFAULT_POOL_WORKERS,
     PooledExpansionBackend,
@@ -51,10 +47,7 @@ __all__ = [
     "ProcessWorkerContext",
     "SchedulerError",
     "SerialWorkerContext",
-    "SweepCheckpoint",
     "SweepScheduler",
     "WorkerPool",
     "WorkerPoolError",
-    "canonical_parameters",
-    "point_key",
 ]

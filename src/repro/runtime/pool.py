@@ -547,8 +547,8 @@ class WorkerPool:
 
     One pool instance typically lives for a whole experiment session.
     Explorations borrow expansion backends with
-    :meth:`expansion_backend`; the sweep scheduler borrows generic
-    contexts with :meth:`context`.  Contexts are created on first use —
+    :meth:`expansion_backend`; the sweep scheduler and isolated session
+    queries borrow generic contexts with :meth:`context`.  Contexts are created on first use —
     forking then, so the workers inherit the context function and
     whatever it closes over — and reused on every later request with the
     same key.  **The key must determine the function's semantics**: two
@@ -643,9 +643,9 @@ class WorkerPool:
         lives (an engine, an explorer) and torn down when the backend is
         closed or garbage collected, so anonymous leases cannot
         accumulate worker processes.  Pass a semantic key such as
-        ``("recency", id(system), bound)`` to share warmth across
-        explorer instances over the same context instead; semantic
-        contexts live until :meth:`release` or :meth:`shutdown`.
+        ``("recency", system_hash(system), bound)`` to share warmth
+        across explorer instances over the same context instead;
+        semantic contexts live until :meth:`release` or :meth:`shutdown`.
 
         ``shared_interning`` selects id-only expansion traffic through a
         :class:`~repro.search.shm_interning.SharedStateStore` leased

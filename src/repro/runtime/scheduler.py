@@ -1,10 +1,9 @@
-"""Asynchronous sweep scheduling over warm worker pools.
+"""Sweep scheduling over forked workers.
 
 Experiment sweeps are grids of **independent** points — (recency bound ×
 depth × case study) cells that share nothing but their measure function.
 :class:`SweepScheduler` executes such a grid with bounded parallelism on
-a :class:`~repro.runtime.pool.WorkerPool`, adding the operational layer
-the bare pool does not have:
+a private :class:`~repro.runtime.pool.WorkerPool`:
 
 * **dependency-free point ordering** — points are submitted in grid
   order and may complete in any order; :meth:`run` always returns
@@ -12,18 +11,17 @@ the bare pool does not have:
   *identical regardless of completion order* (given a deterministic
   measure function);
 * **streaming** — :meth:`stream` yields a :class:`PointRecord` the
-  moment each point completes (checkpoint-cached points first), and
-  :meth:`run` accepts an ``on_point`` callback with the same timing, so
-  long sweeps report progress row by row instead of going dark;
-* **per-point timeout and retry** — a point that errors, or outlives
-  ``timeout`` seconds (its worker is killed and respawned), is retried
-  up to ``retries`` times before :class:`~repro.errors.SchedulerError`
-  aborts the sweep;
-* **checkpointing** — with a :class:`~repro.runtime.checkpoint.SweepCheckpoint`
-  every completed point is appended to a JSONL file as it finishes, and
-  ``resume=True`` serves already-computed points from that memo without
-  re-running them (content-keyed on the parameter assignment, so grid
-  order and shape may change between runs).
+  moment each point completes, and :meth:`run` accepts an ``on_point``
+  callback with the same timing, so long sweeps report progress row by
+  row instead of going dark;
+* **fail fast** — a point whose measure raises (or whose worker fails)
+  aborts the sweep with :class:`~repro.errors.SchedulerError`.
+
+The scheduler keeps no memo of completed points: that is the
+content-addressed result store's job (:mod:`repro.store`), which the
+bound sweeps consult per point, so re-running an interrupted sweep
+against the same store serves every completed point and recomputes only
+the rest.
 
 Parallel execution forks workers that inherit the measure function, so
 any closed-over system objects travel for free; only parameter dicts and
@@ -37,14 +35,12 @@ in-process — same rows, no processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import SchedulerError
 from repro.obs.metrics import resolve_metrics
 from repro.obs.trace import get_tracer
-from repro.runtime.checkpoint import SweepCheckpoint, point_key
-from repro.runtime.pool import SerialWorkerContext, WorkerPool
+from repro.runtime.pool import WorkerPool
 
 __all__ = ["PointRecord", "SweepScheduler"]
 
@@ -56,18 +52,12 @@ class PointRecord:
     Attributes:
         index: the point's position in the submitted grid.
         parameters: the parameter assignment (a copy of the grid entry).
-        measurements: what the measure function returned (or the
-            checkpointed memo for cached points).
-        cached: whether the point was served from the checkpoint.
-        attempts: executions this run (0 for cached points, >1 after
-            retries).
+        measurements: what the measure function returned.
     """
 
     index: int
     parameters: dict
     measurements: dict
-    cached: bool = False
-    attempts: int = 1
 
     def as_row(self) -> dict:
         """A flat reporting row (parameters first, then measurements)."""
@@ -81,63 +71,17 @@ class SweepScheduler:
 
     Args:
         parallel: maximum points in flight (1 = sequential in-process).
-        pool: a shared :class:`WorkerPool` to borrow workers from; when
-            omitted and ``parallel > 1`` a private pool is created for
-            the sweep and shut down afterwards.
-        timeout: per-point wall-clock budget in seconds (enforced by
-            killing the worker; unenforceable — and ignored — on the
-            sequential fallback).
-        retries: re-executions granted to a failing or timed-out point.
-        checkpoint: a :class:`SweepCheckpoint` or a path; every completed
-            point is appended as it finishes.  Without ``resume`` an
-            existing file is cleared first, so the file always describes
-            one complete sweep.
-        resume: serve points already in the checkpoint from the memo
-            instead of re-running them.
-        context_key: explicit worker-pool context key for the measure
-            function (defaults to the measure callable's identity); pass
-            a semantic key to share warm workers across scheduler
-            instances running the same measure.
         metrics: a :class:`repro.obs.MetricsRegistry`; ``None`` (the
             default) resolves to the process-wide registry per sweep.
-            Counts memo-served vs freshly-run points and retries.
+            Counts completed points and, through the sweep's pool, task
+            outcomes.
     """
 
-    def __init__(
-        self,
-        *,
-        parallel: int = 1,
-        pool: WorkerPool | None = None,
-        timeout: float | None = None,
-        retries: int = 0,
-        checkpoint: SweepCheckpoint | str | Path | None = None,
-        resume: bool = False,
-        context_key=None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, *, parallel: int = 1, metrics=None) -> None:
         if parallel < 1:
             raise SchedulerError("parallel must be positive")
-        if retries < 0:
-            raise SchedulerError("retries must be non-negative")
-        if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
-            checkpoint = SweepCheckpoint(checkpoint)
-        if resume and checkpoint is None:
-            raise SchedulerError("resume=True requires a checkpoint")
         self._parallel = parallel
-        self._pool = pool
-        self._timeout = timeout
-        self._retries = retries
-        self._checkpoint = checkpoint
-        self._resume = resume
-        self._context_key = context_key
         self._metrics = metrics
-
-    @property
-    def checkpoint(self) -> SweepCheckpoint | None:
-        """The checkpoint in use, if any."""
-        return self._checkpoint
-
-    # -- execution -------------------------------------------------------------
 
     def run(
         self,
@@ -164,97 +108,25 @@ class SweepScheduler:
     def stream(
         self, grid: Sequence[Mapping], measure: Callable[[dict], dict]
     ) -> Iterator[PointRecord]:
-        """Yield a :class:`PointRecord` per point, in completion order.
-
-        Checkpoint-cached points come first (in grid order, computed
-        without running anything); freshly computed points follow as
-        their workers deliver them.
-        """
+        """Yield a :class:`PointRecord` per point, in completion order."""
         registry = resolve_metrics(self._metrics)
         record = registry if registry.enabled else None
         tracer = get_tracer()
         points = [dict(parameters) for parameters in grid]
-        memo: dict[str, dict] = {}
-        if self._checkpoint is not None:
-            if self._resume:
-                memo = self._checkpoint.load()
-            else:
-                self._checkpoint.clear()
-        fresh: list[int] = []
-        for index, parameters in enumerate(points):
-            cached = memo.get(point_key(parameters))
-            if cached is not None:
-                if record is not None:
-                    record.counter("sweep_points_total", source="memo").inc()
-                tracer.event("point", index=index, source="memo")
-                yield PointRecord(
-                    index=index, parameters=parameters, measurements=cached, cached=True, attempts=0
-                )
-            else:
-                fresh.append(index)
-        if not fresh:
+        if not points:
             return
-        context, owned_pool, auto_release_key = self._make_context(measure)
+        # One worker is the in-process context; more fork where fork exists.
+        pool = WorkerPool(workers=self._parallel, metrics=self._metrics)
         try:
-            # A previous sweep may have abandoned this context mid-run
-            # (an error raised out of its event loop); shed its tasks so
-            # their completions cannot be mistaken for ours.
-            context.reset()
-            task_index: dict[int, int] = {}
-            attempts: dict[int, int] = {}
-            for index in fresh:
-                task_index[context.submit(points[index])] = index
-                attempts[index] = 1
-            for task_id, measurements, error in context.events(task_timeout=self._timeout):
-                index = task_index.pop(task_id, None)
-                if index is None:
-                    continue  # stale completion from an abandoned earlier run
+            context = pool.context("sweep", measure)
+            task_index = {context.submit(point): index for index, point in enumerate(points)}
+            for task_id, measurements, error in context.events():
+                index = task_index[task_id]
                 if error is not None:
-                    if attempts[index] <= self._retries:
-                        if record is not None:
-                            record.counter("sweep_retries_total").inc()
-                        attempts[index] += 1
-                        task_index[context.submit(points[index])] = index
-                        continue
-                    raise SchedulerError(
-                        f"sweep point {points[index]!r} failed after "
-                        f"{attempts[index]} attempt(s): {error}"
-                    )
-                if self._checkpoint is not None:
-                    self._checkpoint.record(points[index], measurements)
+                    raise SchedulerError(f"sweep point {points[index]!r} failed: {error}")
                 if record is not None:
                     record.counter("sweep_points_total", source="run").inc()
                 tracer.event("point", index=index, source="run")
-                yield PointRecord(
-                    index=index,
-                    parameters=points[index],
-                    measurements=measurements,
-                    attempts=attempts[index],
-                )
+                yield PointRecord(index=index, parameters=points[index], measurements=measurements)
         finally:
-            if owned_pool is not None:
-                owned_pool.shutdown()
-            elif auto_release_key is not None and self._pool is not None:
-                # An auto key is the measure closure's identity — meaningless
-                # to any later sweep — so drop the context rather than leak a
-                # warm worker group per run.  Semantic context_keys stay warm.
-                self._pool.release(auto_release_key)
-
-    def _make_context(self, measure: Callable[[dict], dict]):
-        """``(context, owned_pool, auto_release_key)`` for running ``measure``.
-
-        ``owned_pool`` is a private pool to shut down after the run;
-        ``auto_release_key`` marks a context on a *shared* pool that was
-        keyed by the measure's identity and must be released afterwards.
-        """
-        auto = self._context_key is None
-        key = ("sweep", id(measure)) if auto else self._context_key
-        if self._pool is not None:
-            context = self._pool.context(key, measure, workers=self._parallel)
-            return context, None, key if auto else None
-        if self._parallel > 1:
-            pool = WorkerPool(workers=self._parallel)
-            if pool.uses_processes(self._parallel):
-                return pool.context(key, measure, workers=self._parallel), pool, None
             pool.shutdown()
-        return SerialWorkerContext(key, measure), None, None

@@ -53,8 +53,8 @@ strategy is supported: a :class:`ShardedEngine` given options asking for
 Expansion backends live for the **engine's lifetime** (not one fork
 cycle per ``explore()`` call), and an engine given a
 :class:`repro.runtime.WorkerPool` borrows *warm* workers that survive
-the engine itself — see :mod:`repro.runtime` for the pool, the sweep
-scheduler and checkpointed execution built on top of this module.
+the engine itself — see :mod:`repro.runtime` for the pool and the
+sweep scheduler built on top of this module.
 """
 
 from __future__ import annotations

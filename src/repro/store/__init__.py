@@ -7,7 +7,8 @@ package stores them that way:
 
 * :mod:`repro.store.canonical` — domain-stable sha256 hashes of
   systems, schemas and actions (independent of ``PYTHONHASHSEED``),
-  derived through the checkpoint layer's collision-free canonicaliser;
+  derived through a strict, collision-free canonicaliser
+  (:func:`canonical_parameters`, :func:`point_key`);
 * :mod:`repro.store.store` — :class:`ResultStore`, the SQLite index +
   pickle-blob store with self-repair (corrupt or missing blobs are
   recomputed, never served) and schema-change invalidation;
@@ -39,9 +40,11 @@ from repro.store.canonical import (
     action_hashes,
     base_hash,
     canonical_action,
+    canonical_parameters,
     canonical_system,
     digest,
     key_digest,
+    point_key,
     schema_hash,
     system_hash,
 )
@@ -64,9 +67,11 @@ __all__ = [
     "base_hash",
     "cached_compute",
     "canonical_action",
+    "canonical_parameters",
     "canonical_system",
     "digest",
     "key_digest",
+    "point_key",
     "resolve_store",
     "schema_hash",
     "system_hash",

@@ -11,18 +11,19 @@ sha256 digests** from canonical JSON forms:
 * every structural component is rendered as sorted lists/dicts of JSON
   scalars (facts sorted, dictionary keys sorted, guards and constraints
   rendered through their deterministic ``str()`` forms);
-* the rendering goes through
-  :func:`repro.runtime.checkpoint.canonical_parameters` — the same
-  collision-free canonicaliser the sweep checkpoints use — so values
-  outside the JSON scalar domain raise
+* the rendering goes through :func:`canonical_parameters`, a strict
+  canonicaliser: values outside the JSON scalar domain raise
   :class:`~repro.errors.StoreKeyError` instead of being stringified
   into collisions;
-* the digest is the sha256 of the compact, key-sorted JSON encoding.
+* the digest is the sha256 of the compact, key-sorted JSON encoding
+  (:func:`point_key` for a parameter assignment).
 
 The *name* of a system is deliberately **excluded** from
 :func:`system_hash`: renaming a system must not change its content
 address.  The name is kept separately as the store's ``family`` column,
-which scopes schema-change invalidation and statistics.
+which scopes schema-change invalidation and statistics.  A system's
+hash is computed once and kept on the (frozen, immutable) system
+object, so store lookups and warm-context keys cost a dictionary read.
 
 Per-action digests (:func:`action_hashes`) are the unit of
 delta-verification: an exploration's cached subgraph records the digest
@@ -35,23 +36,77 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import Mapping
 
 from repro.dms.action import Action
 from repro.dms.system import DMS
 from repro.errors import StoreKeyError
-from repro.runtime.checkpoint import canonical_parameters, point_key
 
 __all__ = [
     "action_hash",
     "action_hashes",
     "base_hash",
     "canonical_action",
+    "canonical_parameters",
     "canonical_system",
     "digest",
     "key_digest",
+    "point_key",
     "schema_hash",
     "system_hash",
 ]
+
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def canonical_parameters(value):
+    """The canonical JSON-able form of a parameter value (recursive).
+
+    Mappings are rebuilt with sorted string keys, sequences (lists and
+    tuples alike) become lists, and scalars are restricted to the JSON
+    domain — ``str``/``int``/``float``/``bool``/``None``.  Anything else
+    raises instead of being stringified, so two distinct parameter
+    values can never share a canonical form.  JSON is injective on this
+    domain (``True`` renders differently from ``1``, ``2`` from
+    ``2.0``), which makes :func:`point_key` collision-free.
+
+    Raises:
+        TypeError: on values outside the canonical domain (sets,
+            callables, paths, enum members, arbitrary objects, ...).
+    """
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, Mapping):
+        canonical = {}
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"parameter keys must be strings, got {key!r} "
+                    f"of type {type(key).__name__}"
+                )
+            canonical[key] = canonical_parameters(value[key])
+        return {key: canonical[key] for key in sorted(canonical)}
+    if isinstance(value, (list, tuple)):
+        return [canonical_parameters(item) for item in value]
+    raise TypeError(
+        f"parameters must be JSON scalars, sequences or string-keyed "
+        f"mappings; got {value!r} of type {type(value).__name__} — encode it as a "
+        f"string (or a structure of scalars) explicitly instead of relying on str()"
+    )
+
+
+def point_key(parameters: Mapping) -> str:
+    """The canonical serialisation of one parameter assignment.
+
+    Compact, key-sorted JSON of :func:`canonical_parameters`; the store
+    index records it next to each entry, and :func:`key_digest` hashes
+    it into the entry's key.
+
+    Raises:
+        TypeError: when the assignment contains values outside the
+            canonical JSON domain (see :func:`canonical_parameters`).
+    """
+    return json.dumps(canonical_parameters(parameters), sort_keys=True, separators=(",", ":"))
 
 
 def digest(value) -> str:
@@ -59,8 +114,7 @@ def digest(value) -> str:
 
     Raises:
         StoreKeyError: when ``value`` contains components outside the
-            canonical JSON domain (see
-            :func:`repro.runtime.checkpoint.canonical_parameters`).
+            canonical JSON domain (see :func:`canonical_parameters`).
     """
     try:
         canonical = canonical_parameters(value)
@@ -73,9 +127,9 @@ def digest(value) -> str:
 def key_digest(parameters) -> str:
     """The store key of one canonical parameter assignment.
 
-    Reuses the checkpoint layer's :func:`~repro.runtime.checkpoint.point_key`
-    (the collision-free canonical serialisation) and hashes it, so keys
-    stay fixed-width regardless of how large the assignment grows.
+    Hashes :func:`point_key` (the collision-free canonical
+    serialisation), so keys stay fixed-width regardless of how large
+    the assignment grows.
 
     Raises:
         StoreKeyError: on values outside the canonical domain.
@@ -126,8 +180,16 @@ def canonical_system(system: DMS) -> dict:
 
 
 def system_hash(system: DMS) -> str:
-    """The domain-stable content hash of a DMS (name excluded)."""
-    return digest(canonical_system(system))
+    """The domain-stable content hash of a DMS (name excluded).
+
+    Computed once per system object and kept on it: a DMS is frozen and
+    its parts are immutable, so its content cannot change afterwards.
+    """
+    cached = system.__dict__.get("_content_hash")
+    if cached is None:
+        cached = digest(canonical_system(system))
+        object.__setattr__(system, "_content_hash", cached)
+    return cached
 
 
 def schema_hash(schema) -> str:

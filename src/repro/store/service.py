@@ -12,11 +12,13 @@ used by benches and tests) funnels through:
    object is used as-is.
 2. **Key** the query: the canonical parameter assignment (payload kind,
    condition, limits, strategy, retention, graph kind, system content
-   hash) is digested through the checkpoint layer's collision-free
-   canonicaliser.  Unkeyable queries — a ``best-first`` heuristic, a
-   parameter outside the canonical domain — bypass the store silently
-   (:class:`~repro.errors.StoreKeyError` is absorbed, the computation
-   runs cold and nothing is stored).
+   hash) is digested through the collision-free canonicaliser of
+   :mod:`repro.store.canonical`.  Unkeyable queries — a ``best-first``
+   heuristic, a parameter outside the canonical domain — bypass the
+   store silently (:class:`~repro.errors.StoreKeyError` is absorbed,
+   the computation runs cold and nothing is stored).  A hit needs only
+   the system's (memoised) content hash; the schema and base hashes
+   are derived on a miss.
 3. **Serve** an exact hit bit-identically, or **compute** — with
    subgraph capture on the single-shard path, seeded by the freshest
    compatible delta base (:meth:`~repro.store.store.ResultStore.delta_base`)
@@ -39,8 +41,7 @@ from repro.dms.system import DMS
 from repro.errors import StoreKeyError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
-from repro.runtime.checkpoint import point_key
-from repro.store.canonical import base_hash, key_digest, schema_hash, system_hash
+from repro.store.canonical import base_hash, key_digest, point_key, schema_hash, system_hash
 from repro.store.capture import DeltaSuccessors, Subgraph, SubgraphRecorder
 from repro.store.store import KIND_RESULT, KIND_SUBGRAPH, ResultStore
 
@@ -131,8 +132,6 @@ def cached_compute(
         return compute(None), outcome
     try:
         content = system_hash(system)
-        schema_digest = schema_hash(system.schema)
-        base_digest = base_hash(system)
         key_parameters = dict(parameters)
         key_parameters.update({"graph": graph, "system": content})
         key = key_digest(key_parameters)
@@ -147,6 +146,8 @@ def cached_compute(
         tracer.event("store", outcome="hit", kind=KIND_RESULT, graph=graph)
         return cached, outcome
     tracer.event("store", outcome="miss", kind=KIND_RESULT, graph=graph)
+    schema_digest = schema_hash(system.schema)
+    base_digest = base_hash(system)
     recorder = None
     delta: DeltaSuccessors | None = None
     if successors is not None:

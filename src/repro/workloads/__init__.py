@@ -7,15 +7,13 @@ from repro.workloads.generators import (
     random_dms,
     random_schema,
 )
-from repro.workloads.sweeps import SweepPoint, dms_family, sweep
+from repro.workloads.sweeps import dms_family
 
 __all__ = [
     "RandomDMSParameters",
-    "SweepPoint",
     "dms_family",
     "drop_action_variant",
     "random_bounded_runs",
     "random_dms",
     "random_schema",
-    "sweep",
 ]

@@ -1,75 +1,23 @@
 """Parameter sweeps used by the benchmark harness.
 
-Each sweep returns a tuple of dictionaries (rows) so that the harness and
-``pytest-benchmark`` targets can print them uniformly.
-
-Sweeps execute through the runtime's
-:class:`~repro.runtime.scheduler.SweepScheduler`: :func:`sweep` accepts
-``parallel=`` (bounded concurrent points on forked workers),
-``checkpoint=``/``resume=`` (JSONL memo of completed points, resumable
-after interruption), per-point ``timeout=``/``retries=``, and
-``on_point=`` (a streaming callback fired as each point completes).  The
-returned points are always in grid order, identical regardless of
-parallelism.
+:func:`exploration_mode_sweep` returns its points in grid order, as
+:class:`~repro.runtime.scheduler.PointRecord` rows that the harness and
+``pytest-benchmark`` targets print uniformly.  Its grid runs on the
+runtime's :class:`~repro.runtime.scheduler.SweepScheduler`, so
+``parallel=`` executes points concurrently on forked workers with rows
+identical to a sequential run.  :func:`dms_family` builds random systems
+sharing one set of structural parameters.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.runtime import SweepScheduler
+from repro.runtime import PointRecord, SweepScheduler
 from repro.workloads.generators import RandomDMSParameters, random_dms
 
-__all__ = ["SweepPoint", "sweep", "dms_family", "exploration_mode_sweep"]
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep point: a parameter assignment and the measured values."""
-
-    parameters: dict
-    measurements: dict
-
-    def as_row(self) -> dict:
-        """A flat dictionary row for reporting."""
-        row = dict(self.parameters)
-        row.update(self.measurements)
-        return row
-
-
-def sweep(
-    parameter_grid: Sequence[dict],
-    measure: Callable[[dict], dict],
-    *,
-    parallel: int = 1,
-    pool=None,
-    timeout: float | None = None,
-    retries: int = 0,
-    checkpoint=None,
-    resume: bool = False,
-    on_point: Callable | None = None,
-) -> tuple[SweepPoint, ...]:
-    """Run ``measure`` on every parameter assignment of the grid.
-
-    Executes on the sweep scheduler: with ``parallel > 1`` the points
-    run concurrently on forked workers (the measure closure is inherited
-    through fork), with a ``checkpoint`` every completed point is
-    persisted as it finishes and ``resume=True`` serves already-computed
-    points from the memo.  ``on_point`` fires with each
-    :class:`~repro.runtime.scheduler.PointRecord` in completion order;
-    the returned tuple is always in grid order.
-    """
-    scheduler = SweepScheduler(
-        parallel=parallel, pool=pool, timeout=timeout, retries=retries,
-        checkpoint=checkpoint, resume=resume,
-    )
-    records = scheduler.run(parameter_grid, measure, on_point=on_point)
-    return tuple(
-        SweepPoint(parameters=record.parameters, measurements=record.measurements)
-        for record in records
-    )
+__all__ = ["dms_family", "exploration_mode_sweep"]
 
 
 def exploration_mode_sweep(
@@ -81,7 +29,7 @@ def exploration_mode_sweep(
     heuristic: Callable | None = None,
     *,
     parallel: int = 1,
-) -> tuple[SweepPoint, ...]:
+) -> tuple[PointRecord, ...]:
     """Explore one system under every (strategy, retention) combination.
 
     Measures discovered configurations/edges, retained edge objects and
@@ -90,7 +38,7 @@ def exploration_mode_sweep(
     benchmark), which checks that on un-truncated explorations every
     strategy discovers the same configuration set and that the memory
     modes shrink edge retention as documented.  ``parallel`` runs the
-    grid points concurrently as in :func:`sweep`.
+    grid points concurrently on the sweep scheduler.
     """
     from repro.recency.explorer import RecencyExplorer
     from repro.search import ExplorationOptions
@@ -123,7 +71,7 @@ def exploration_mode_sweep(
         for strategy in strategies
         for retention in retentions
     ]
-    return sweep(grid, measure, parallel=parallel)
+    return tuple(SweepScheduler(parallel=parallel).run(grid, measure))
 
 
 def dms_family(

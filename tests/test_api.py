@@ -205,6 +205,21 @@ def test_session_isolated_matches_inline(booking, session):
 
 
 @needs_fork
+def test_sharded_queries_over_equal_systems_share_one_warm_context():
+    # Warm expansion contexts are keyed by system content, not object
+    # identity: equal systems built afresh per query reuse one worker group.
+    condition = parse_query(SUBMITTED)
+    systems = [booking_agency_system() for _ in range(4)]
+    options = ExplorationOptions(max_depth=3, shards=2, workers=2)
+    with Session(options=options, store=False) as session:
+        results = [session.run_reachability(system, condition, bound=2) for system in systems]
+        keys = session.warm_context_keys()
+        assert len(keys) == 1
+        assert len(session.pool.worker_pids(keys[0])) == 2
+    assert len({summary(result) for result in results}) == 1
+
+
+@needs_fork
 def test_isolated_timeout_kills_worker_but_session_stays_healthy(booking, session):
     deep = ExplorationOptions(max_depth=9, max_configurations=10**9, max_steps=10**9)
     condition = parse_query("Exists x. BAccepted(x)")

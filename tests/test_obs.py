@@ -284,26 +284,36 @@ def _square(parameters: dict) -> dict:
 
 
 def test_scheduler_counts_memo_and_run_points(tmp_path):
+    # The scheduler counts the points it runs; the result store, the
+    # memo of sweep points, counts the ones a warm sweep is served.
+    from repro.casestudies.booking import booking_agency_system
+    from repro.modelcheck.convergence import state_space_bound_sweep
+
     registry = MetricsRegistry()
     grid = [{"n": value} for value in range(4)]
-    checkpoint = tmp_path / "sweep.jsonl"
-    first = SweepScheduler(checkpoint=checkpoint, metrics=registry)
-    first.run(grid, _square)
+    SweepScheduler(metrics=registry).run(grid, _square)
     assert registry.counter_value("sweep_points_total", source="run") == 4
-    resumed = SweepScheduler(checkpoint=checkpoint, resume=True, metrics=registry)
-    resumed.run(grid, _square)
-    assert registry.counter_value("sweep_points_total", source="memo") == 4
+    set_global_registry(registry)
+    try:
+        store = ResultStore(tmp_path / "store")
+        for _ in range(2):
+            state_space_bound_sweep(booking_agency_system(), (0, 1), 2, store=store)
+    finally:
+        set_global_registry(None)
+    assert registry.counter_value("store_lookups_total", kind="result", outcome="miss") == 2
+    assert registry.counter_value("store_lookups_total", kind="result", outcome="hit") == 2
 
 
 def test_pool_records_task_outcomes_and_dispatch_latency():
     registry = MetricsRegistry()
     pool = WorkerPool(workers=2, metrics=registry)
     try:
-        scheduler = SweepScheduler(parallel=2, pool=pool, metrics=registry)
-        records = scheduler.run([{"n": value} for value in range(5)], _square)
+        context = pool.context("squares", _square, workers=2)
+        submitted = [context.submit({"n": value}) for value in range(5)]
+        values = {task_id: value for task_id, value, _ in context.events()}
     finally:
         pool.shutdown()
-    assert [record.measurements["square"] for record in records] == [0, 1, 4, 9, 16]
+    assert [values[task_id]["square"] for task_id in submitted] == [0, 1, 4, 9, 16]
     assert registry.counter_value("pool_tasks_total", outcome="ok") == 5
     assert registry.histogram("pool_dispatch_seconds").count == 5
 
@@ -459,7 +469,7 @@ def test_stream_point_printer_writes_to_stderr(capsys):
     printer(PointRecord(index=0, parameters={"n": 1}, measurements={"square": 1}))
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "[E9] point 0 (run)" in captured.err
+    assert "[E9] point 0: n=1  square=1" in captured.err
 
 
 # -- the summarizer CLI --------------------------------------------------------

@@ -7,32 +7,33 @@ Covers the three runtime contracts:
   health-checked, respawned, and their in-flight tasks re-run;
 * **Scheduler determinism** — a sweep's rows are identical regardless
   of parallelism/completion order, points stream as they complete, and
-  failing/timed-out points are retried before aborting the sweep;
-* **Checkpoint/resume** — a sweep killed after N points and resumed
-  from its JSONL checkpoint reproduces the exact row set of an
-  uninterrupted run while recomputing only the missing points.
+  a failing point aborts the sweep;
+* **Resume through the store** — a sweep that lost points (killed
+  before saving them) and is re-run against the same result store
+  reproduces the exact row set of an uninterrupted run while
+  recomputing only the missing points.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
+import sqlite3
 import time
+from contextlib import closing
 from dataclasses import dataclass
 
 import pytest
 
 from repro.errors import SchedulerError, WorkerPoolError
 from repro.harness.experiments import experiment_e9_convergence
+from repro.modelcheck.convergence import state_space_bound_sweep
 from repro.recency.explorer import RecencyExplorer
 from repro.runtime import (
     PointRecord,
     SerialWorkerContext,
-    SweepCheckpoint,
     SweepScheduler,
     WorkerPool,
-    point_key,
 )
 from repro.search import (
     RETAIN_FULL,
@@ -41,7 +42,7 @@ from repro.search import (
     ShardedEngine,
     process_backend_available,
 )
-from repro.workloads.sweeps import sweep
+from repro.store import KIND_RESULT, ResultStore, system_hash
 
 needs_fork = pytest.mark.skipif(
     not process_backend_available(), reason="fork start method unavailable"
@@ -217,24 +218,32 @@ def test_failed_expansion_does_not_contaminate_next_exploration():
 
 @needs_fork
 def test_scheduler_abandoned_context_does_not_break_next_sweep():
-    # A sweep aborted by SchedulerError leaves its context mid-run; a
-    # second sweep reusing the same pool context must still produce a
-    # complete, correct row set.
+    # A sweep aborted by SchedulerError must not leak into the next one,
+    # and a consumer that abandons a warm context mid-run (as an
+    # isolated query interrupted while waiting does) must not
+    # contaminate the next consumer of that context, which resets it.
     def touchy(parameters: dict) -> dict:
         if parameters["n"] < 0:
             raise ValueError("bad point")
         time.sleep(0.02)
         return {"value": parameters["n"]}
 
+    with pytest.raises(SchedulerError):
+        SweepScheduler(parallel=2).run([{"n": 1}, {"n": -1}, {"n": 2}, {"n": 3}], touchy)
+    records = SweepScheduler(parallel=2).run([{"n": n} for n in range(5)], touchy)
+    assert [record.as_row() for record in records] == [{"n": n, "value": n} for n in range(5)]
+
     with WorkerPool(workers=2) as pool:
-        first = SweepScheduler(parallel=2, pool=pool, context_key="touchy")
-        with pytest.raises(SchedulerError):
-            first.run([{"n": 1}, {"n": -1}, {"n": 2}, {"n": 3}], touchy)
-        second = SweepScheduler(parallel=2, pool=pool, context_key="touchy")
-        records = second.run([{"n": n} for n in range(5)], touchy)
-        assert [record.as_row() for record in records] == [
-            {"n": n, "value": n} for n in range(5)
-        ]
+        context = pool.context("touchy", touchy, workers=2)
+        for n in (1, -1, 2, 3):
+            context.submit({"n": n})
+        for _, _, error in context.events():
+            if error is not None:
+                break  # abandoned with tasks still queued or running
+        context.reset()
+        submitted = {context.submit({"n": n}): n for n in range(5)}
+        outcomes = sorted((submitted[task_id], value) for task_id, value, _ in context.events())
+        assert outcomes == [(n, {"value": n}) for n in range(5)]
 
 
 @needs_fork
@@ -267,6 +276,8 @@ def test_auto_keyed_backend_releases_context_on_engine_close():
 
 
 def test_convergence_checkpoint_keys_distinguish_queries(tmp_path):
+    # The store is the memo of sweep points: its keys must keep distinct
+    # queries, and same-named system variants, apart.
     from repro.dms.builder import DMSBuilder
     from repro.fol.parser import parse_query
     from repro.modelcheck import Verdict
@@ -279,35 +290,30 @@ def test_convergence_checkpoint_keys_distinguish_queries(tmp_path):
     builder.action("produce", fresh=("x",), guard="p", add=[("R", "x")])
     builder.action("promote", parameters=("x",), guard="R(x)", add=[("Q", "x")], delete=[("R", "x")])
     system = builder.build()
-    checkpoint = tmp_path / "bounds.jsonl"
+    store = ResultStore(tmp_path / "bounds.store")
     first = reachability_bound_sweep(
-        system, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3,
-        checkpoint=checkpoint,
+        system, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3, store=store
     )
-    # Same file, different condition: the memo must NOT serve the old rows.
+    # Same store, different condition: the memo must NOT serve the old rows.
     second = reachability_bound_sweep(
-        system, parse_query("exists u. R(u)"), bounds=(1, 2), max_depth=3,
-        checkpoint=checkpoint, resume=True,
+        system, parse_query("exists u. R(u)"), bounds=(1, 2), max_depth=3, store=store
     )
-    memo = SweepCheckpoint(checkpoint).load()
-    assert len(memo) == 4  # two conditions x two bounds, distinct content keys
-    # And re-running the first condition with resume serves it unchanged.
+    assert store.stats()["results"] == 4  # two conditions x two bounds, distinct keys
+    # And re-running the first condition serves it unchanged.
     again = reachability_bound_sweep(
-        system, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3,
-        checkpoint=checkpoint, resume=True,
+        system, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3, store=store
     )
     assert again == first
     assert second != first  # different condition, genuinely different rows
-    # Same file, same name and condition, different system: dropping
+    # Same store, same name and condition, different system: dropping
     # `promote` keeps the name but makes Q unreachable, so the memo must
     # not serve the original system's rows.
     variant = drop_action_variant(system, "promote")
     resumed = reachability_bound_sweep(
-        variant, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3,
-        checkpoint=checkpoint, resume=True,
+        variant, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3, store=store
     )
     fresh = reachability_bound_sweep(
-        variant, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3,
+        variant, parse_query("exists u. Q(u)"), bounds=(1, 2), max_depth=3, store=False
     )
     assert resumed == fresh
     assert [entry.verdict for entry in fresh] == [Verdict.UNKNOWN, Verdict.UNKNOWN]
@@ -338,17 +344,6 @@ def test_auto_keyed_contexts_are_lease_counted_across_engines():
         second.close()
         reacquired = second.explore(Node(0))
         assert set(reacquired.states()) == set(reference.states())
-
-
-@needs_fork
-def test_scheduler_releases_auto_contexts_on_shared_pools():
-    # Sweeps keyed by measure identity must not leak warm worker groups
-    # into a shared pool; semantic context_keys stay warm deliberately.
-    with WorkerPool(workers=2) as pool:
-        SweepScheduler(parallel=2, pool=pool).run(GRID, slow_measure)
-        assert pool.keys() == ()
-        SweepScheduler(parallel=2, pool=pool, context_key="keep-warm").run(GRID, slow_measure)
-        assert pool.keys() == ("keep-warm",)
 
 
 def test_pool_rejects_unknown_keys_and_use_after_shutdown():
@@ -385,241 +380,61 @@ def test_scheduler_streams_points_in_completion_order():
 
 
 def test_sweep_function_routes_through_scheduler_with_on_point():
+    # The bound sweeps stream one {"b": bound} record per point.
     seen = []
-    points = sweep(GRID, square_measure, on_point=seen.append)
-    assert [point.as_row() for point in points] == [{"n": n, "square": n * n} for n in range(6)]
-    assert len(seen) == 6 and all(isinstance(record, PointRecord) for record in seen)
-
-
-def test_scheduler_retries_failing_point_then_succeeds(tmp_path):
-    flag = tmp_path / "failed-once"
-
-    def flaky(parameters: dict) -> dict:
-        if parameters["n"] == 2 and not flag.exists():
-            flag.write_text("x")
-            raise ValueError("transient")
-        return {"value": parameters["n"]}
-
-    records = SweepScheduler(parallel=1, retries=1).run([{"n": n} for n in range(4)], flaky)
-    assert [record.as_row() for record in records] == [
-        {"n": n, "value": n} for n in range(4)
-    ]
-    assert [record.attempts for record in records] == [1, 1, 2, 1]
+    rows = state_space_bound_sweep(
+        tiny_dms(), bounds=(0, 1, 2), max_depth=3, store=False, on_point=seen.append
+    )
+    assert [entry.bound for entry in rows] == [0, 1, 2]
+    assert all(isinstance(record, PointRecord) for record in seen)
+    assert [record.parameters for record in seen] == [{"b": 0}, {"b": 1}, {"b": 2}]
+    assert [
+        (record.measurements["configurations"], record.measurements["edges"]) for record in seen
+    ] == [(entry.configurations, entry.edges) for entry in rows]
 
 
 def test_scheduler_raises_after_retries_exhausted():
+    # A failing point aborts the sweep: there are no retries.
     def always_failing(parameters: dict) -> dict:
         raise ValueError("permanent")
 
     with pytest.raises(SchedulerError, match="permanent"):
-        SweepScheduler(parallel=1, retries=1).run([{"n": 0}], always_failing)
-
-
-@needs_fork
-def test_scheduler_timeout_kills_worker_and_retries(tmp_path):
-    flag = tmp_path / "timed-out-once"
-
-    def sticky(parameters: dict) -> dict:
-        if parameters["n"] == 1 and not flag.exists():
-            flag.write_text("x")
-            time.sleep(30)
-        return {"value": parameters["n"]}
-
-    started = time.monotonic()
-    records = SweepScheduler(parallel=2, timeout=0.8, retries=1).run(
-        [{"n": n} for n in range(3)], sticky
-    )
-    assert time.monotonic() - started < 15
-    assert [record.as_row() for record in records] == [{"n": n, "value": n} for n in range(3)]
+        SweepScheduler(parallel=1).run([{"n": 0}], always_failing)
+    if process_backend_available():
+        with pytest.raises(SchedulerError, match="permanent"):
+            SweepScheduler(parallel=2).run([{"n": 0}, {"n": 1}], always_failing)
 
 
 def test_scheduler_rejects_bad_configuration():
     with pytest.raises(SchedulerError):
         SweepScheduler(parallel=0)
     with pytest.raises(SchedulerError):
-        SweepScheduler(retries=-1)
-    with pytest.raises(SchedulerError):
-        SweepScheduler(resume=True)  # resume needs a checkpoint
+        SweepScheduler(parallel=-1)
 
 
-# -- checkpoint / resume -------------------------------------------------------
+# -- resume through the result store -------------------------------------------
 
 
-def test_checkpoint_resume_round_trip_after_interrupt(tmp_path):
-    checkpoint_path = tmp_path / "sweep.jsonl"
-    full = SweepScheduler(parallel=1, checkpoint=checkpoint_path).run(GRID, square_measure)
-    # One record per point; records are separated by blank isolator lines.
-    lines = [line for line in checkpoint_path.read_text().splitlines() if line.strip()]
-    assert len(lines) == len(GRID)
-
-    # Simulate a sweep killed after 3 completed points: keep 3 records
-    # plus a torn partial line from the in-flight write.
-    checkpoint_path.write_text("\n".join(lines[:3]) + '\n{"key": "torn')
-
-    executed = []
-
-    def counting_measure(parameters: dict) -> dict:
-        executed.append(parameters["n"])
-        return square_measure(parameters)
-
-    resumed = SweepScheduler(
-        parallel=1, checkpoint=checkpoint_path, resume=True
-    ).run(GRID, counting_measure)
-    assert [record.as_row() for record in resumed] == [record.as_row() for record in full]
-    assert len(executed) == len(GRID) - 3  # only the missing points were recomputed
-    assert sum(1 for record in resumed if record.cached) == 3
-    # The checkpoint now holds the full row set again and resumes clean.
-    rerun = SweepScheduler(parallel=1, checkpoint=checkpoint_path, resume=True).run(
-        GRID, counting_measure
-    )
-    assert all(record.cached for record in rerun)
-    assert len(executed) == len(GRID) - 3
+def _result_keys(store: ResultStore) -> list[str]:
+    """The store's result entries, in the order they were saved."""
+    with closing(sqlite3.connect(store.root / "index.sqlite")) as index:
+        rows = index.execute(
+            "SELECT key FROM entries WHERE kind = ? ORDER BY rowid", (KIND_RESULT,)
+        )
+        return [key for (key,) in rows]
 
 
 def test_checkpoint_is_content_keyed_not_position_keyed(tmp_path):
-    checkpoint = SweepCheckpoint(tmp_path / "memo.jsonl")
-    SweepScheduler(checkpoint=checkpoint).run(GRID[:4], square_measure)
-    # A reordered, extended grid still reuses every computed point.
-    reordered = list(reversed(GRID))
-    records = SweepScheduler(checkpoint=checkpoint, resume=True).run(reordered, square_measure)
-    cached = {record.parameters["n"] for record in records if record.cached}
-    assert cached == {0, 1, 2, 3}
-    assert point_key({"b": 1, "a": 2}) == point_key({"a": 2, "b": 1})  # canonical
-
-
-def test_checkpoint_without_resume_starts_fresh(tmp_path):
-    checkpoint_path = tmp_path / "fresh.jsonl"
-    SweepScheduler(checkpoint=checkpoint_path).run(GRID, square_measure)
-    records = SweepScheduler(checkpoint=checkpoint_path).run(GRID[:2], square_measure)
-    assert not any(record.cached for record in records)
-    remaining = [line for line in checkpoint_path.read_text().splitlines() if line.strip()]
-    assert len(remaining) == 2  # old memo cleared
-
-
-def test_checkpoint_load_skips_corrupt_lines(tmp_path):
-    path = tmp_path / "memo.jsonl"
-    checkpoint = SweepCheckpoint(path)
-    checkpoint.record({"n": 1}, {"square": 1})
-    with path.open("a") as handle:
-        handle.write("not json\n")
-        handle.write(json.dumps({"key": 7, "measurements": {}}) + "\n")  # bad key type
-    memo = checkpoint.load()
-    assert memo == {point_key({"n": 1}): {"square": 1}}
-
-
-def test_point_key_rejects_noncanonical_values_instead_of_colliding(tmp_path):
-    # Regression: point_key used ``default=str``, so assignments that
-    # differ as Python values but share a str() rendering — e.g.
-    # pathlib.Path("runs/x") versus the string "runs/x" — produced the
-    # same key, and a resumed sweep served one point's measurements for
-    # the other.  Non-JSON values must be rejected, not stringified.
-    import pathlib
-
-    with pytest.raises(TypeError):
-        point_key({"out": pathlib.Path("runs/x")})
-    assert "runs/x" in point_key({"out": "runs/x"})  # the honest form still works
-    with pytest.raises(TypeError):
-        point_key({"bounds": {1, 2}})  # sets stringify unstably
-    with pytest.raises(TypeError):
-        point_key({"measure": square_measure})  # callables have no content key
-    with pytest.raises(TypeError):
-        point_key({1: "non-string key"})
-    # Canonicalisation keeps JSON-equal shapes together ...
-    assert point_key({"grid": (1, 2)}) == point_key({"grid": [1, 2]})
-    assert point_key({"a": 1, "b": 2}) == point_key({"b": 2, "a": 1})
-    # ... and JSON-distinct scalars apart.
-    assert point_key({"v": True}) != point_key({"v": 1})
-    assert point_key({"v": 2}) != point_key({"v": 2.0})
-    # record() enforces the same domain instead of writing a bad memo.
-    with pytest.raises(TypeError):
-        SweepCheckpoint(tmp_path / "memo.jsonl").record(
-            {"out": pathlib.Path("runs/x")}, {"value": 1}
-        )
-
-
-def _hammer_checkpoint(path, writer: int, count: int) -> None:
-    checkpoint = SweepCheckpoint(path)
-    # Records far larger than the default text-IO buffer: the pre-fix
-    # buffered write flushed them in several chunks, so concurrent
-    # writers spliced fragments into each other's lines.
-    payload = f"w{writer}-" * 4096
-    for index in range(count):
-        checkpoint.record(
-            {"writer": writer, "index": index},
-            {"writer": writer, "index": index, "payload": payload},
-        )
-
-
-@needs_fork
-def test_concurrent_record_never_tears_or_interleaves_lines(tmp_path):
-    # Regression: record() seek-and-inspected the tail then wrote via a
-    # buffered read/write descriptor.  Under concurrent writers (a
-    # shared memo across sweeps) both steps race: a buffered record
-    # flushes in several raw writes, and another writer's line can land
-    # between them.  The guarantee that closes the race is structural —
-    # each record is ONE write() on an unbuffered append-only
-    # descriptor, which the kernel serialises whole — so first pin the
-    # structure, then hammer the behaviour from real processes.
-    import multiprocessing
-    from pathlib import Path
-
-    path = tmp_path / "memo.jsonl"
-    probe = tmp_path / "probe.jsonl"
-    opens: list[tuple[str, int]] = []
-    writes: list[bytes] = []
-    real_open = Path.open
-
-    class SpyHandle:
-        def __init__(self, handle):
-            self._handle = handle
-
-        def __enter__(self):
-            self._handle.__enter__()
-            return self
-
-        def __exit__(self, *exc_info):
-            return self._handle.__exit__(*exc_info)
-
-        def write(self, data):
-            writes.append(bytes(data))
-            return self._handle.write(data)
-
-        def __getattr__(self, name):
-            return getattr(self._handle, name)
-
-    def spying_open(self, mode="r", buffering=-1, **kwargs):
-        handle = real_open(self, mode, buffering, **kwargs)
-        if self == probe and "b" in mode:
-            opens.append((mode, buffering))
-            return SpyHandle(handle)
-        return handle
-
-    with pytest.MonkeyPatch.context() as patcher:
-        patcher.setattr(Path, "open", spying_open)
-        SweepCheckpoint(probe).record({"n": 0}, {"payload": "x" * 65536})
-    assert opens == [("ab", 0)]  # append-only, unbuffered — never read/write
-    assert len(writes) == 1  # the whole record lands in one kernel append
-    assert writes[0].endswith(b"\n") and b'"payload"' in writes[0]
-
-    writers, per_writer = 4, 20
-    context = multiprocessing.get_context("fork")
-    processes = [
-        context.Process(target=_hammer_checkpoint, args=(path, writer, per_writer))
-        for writer in range(writers)
-    ]
-    for process in processes:
-        process.start()
-    for process in processes:
-        process.join()
-        assert process.exitcode == 0
-    memo = SweepCheckpoint(path).load()
-    assert len(memo) == writers * per_writer  # no record lost or corrupted
-    for writer in range(writers):
-        for index in range(per_writer):
-            measurements = memo[point_key({"writer": writer, "index": index})]
-            assert measurements["writer"] == writer
-            assert measurements["index"] == index
-            assert measurements["payload"] == f"w{writer}-" * 4096
+    # The store memo is keyed by what a point computes, not by where it
+    # sits in the grid: a reordered, extended grid reuses every point.
+    store = ResultStore(tmp_path / "memo.store")
+    first = state_space_bound_sweep(tiny_dms(), bounds=(0, 1), max_depth=3, store=store)
+    rerun = ResultStore(store.root)  # fresh session counters, same memo
+    reordered = state_space_bound_sweep(tiny_dms(), bounds=(2, 1, 0), max_depth=3, store=rerun)
+    session = rerun.stats()["session"]
+    assert session["hits"]["result"] == 2 and session["misses"]["result"] == 1
+    assert [entry.bound for entry in reordered] == [2, 1, 0]
+    assert reordered[1:] == tuple(reversed(first))
 
 
 # -- the runtime through the experiment harness (E9) ---------------------------
@@ -669,36 +484,41 @@ def tiny_dms():
 
 
 def test_e9_checkpoint_resume_reproduces_exact_row_set(tmp_path):
-    checkpoint_path = tmp_path / "e9.jsonl"
-    uninterrupted = experiment_e9_convergence(max_depth=4, checkpoint=checkpoint_path)
-    memo = SweepCheckpoint(checkpoint_path).load()
-    assert len(memo) == 7  # 4 reachability bounds + 3 state-space bounds, one file
-    lines = [line for line in checkpoint_path.read_text().splitlines() if line.strip()]
-    checkpoint_path.write_text("\n".join(lines[:4]) + "\n")  # "killed" after 4 points
-    resumed = experiment_e9_convergence(max_depth=4, checkpoint=checkpoint_path, resume=True)
+    store = ResultStore(tmp_path / "e9.store")
+    uninterrupted = experiment_e9_convergence(max_depth=4, store=store)
+    saved = _result_keys(store)
+    assert len(saved) == 7  # 4 reachability bounds + 3 state-space bounds, one store
+    for key in saved[4:]:  # "killed" after 4 points: the rest were never saved
+        store.discard(key)
+    rerun = ResultStore(store.root)
+    resumed = experiment_e9_convergence(max_depth=4, store=rerun)
     assert resumed == uninterrupted
-    assert len(SweepCheckpoint(checkpoint_path).load()) == 7  # memo complete again
+    session = rerun.stats()["session"]
+    assert session["hits"]["result"] == 4  # completed points served ...
+    assert session["misses"]["result"] == 3  # ... only the lost ones recomputed
+    assert len(_result_keys(rerun)) == 7  # memo complete again
 
 
 def test_cli_streams_checkpoints_and_rejects_unsupported_flags(tmp_path, capsys):
     from repro.harness.cli import main
 
-    checkpoint = tmp_path / "cli-e9.jsonl"
-    assert main(["E9", "--parallel", "2", "--checkpoint", str(checkpoint), "--stream"]) == 0
+    store = tmp_path / "cli-e9.store"
+    assert main(["E9", "--parallel", "2", "--store", str(store), "--stream"]) == 0
     captured = capsys.readouterr()
     # Per-point progress lines go to stderr; stdout stays pipeline-clean.
     assert "(streaming)" in captured.out and "[E9] point" in captured.err
-    assert checkpoint.exists()
-    assert main(["E9", "--checkpoint", str(checkpoint), "--resume"]) == 0
+    assert (store / "index.sqlite").exists()
+    assert main(["E9", "--store", str(store), "--store-stats"]) == 0
+    assert "session hit/miss result=7/0" in capsys.readouterr().out  # all served
     # Flags an experiment would silently ignore are rejected instead.
     with pytest.raises(SystemExit):
-        main(["E14", "--checkpoint", str(checkpoint)])
+        main(["E14", "--stream"])
     with pytest.raises(SystemExit):
         main(["E1", "--parallel", "4"])
     with pytest.raises(SystemExit):
         main(["E9", "--quick"])
     with pytest.raises(SystemExit):
-        main(["E9", "--resume"])  # resume needs a checkpoint to resume from
+        main(["E9", "--resume"])  # the JSONL checkpoint flags are gone
     capsys.readouterr()
 
 
@@ -729,7 +549,7 @@ def test_recency_explorer_with_pool_matches_plain_exploration():
             assert explorer.backend_name == "pooled"
             first = explorer.explore()
             second = explorer.explore()
-        key = ("recency", id(system), 2)
+        key = ("recency", system_hash(system), 2)
         assert key in pool.keys()
         assert pool.health_check(key)
     assert first.configurations == reference.configurations

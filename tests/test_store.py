@@ -45,6 +45,7 @@ from repro.store import (
     action_hashes,
     cached_compute,
     digest,
+    point_key,
     resolve_store,
     schema_hash,
     system_hash,
@@ -252,6 +253,39 @@ def test_system_hash_tracks_content_not_name(cycle_system):
     assert system_hash(changed) != system_hash(cycle_system)
     with pytest.raises(StoreKeyError):
         digest(object())  # unkeyable values raise instead of stringifying
+
+
+def test_point_key_rejects_noncanonical_values_instead_of_colliding():
+    # Regression: point_key used ``default=str``, so assignments that
+    # differ as Python values but share a str() rendering — e.g.
+    # pathlib.Path("runs/x") versus the string "runs/x" — produced the
+    # same key, and one point's memoised measurements were served for
+    # the other.  Non-JSON values must be rejected, not stringified.
+    import pathlib
+
+    with pytest.raises(TypeError):
+        point_key({"out": pathlib.Path("runs/x")})
+    assert "runs/x" in point_key({"out": "runs/x"})  # the honest form still works
+    with pytest.raises(TypeError):
+        point_key({"bounds": {1, 2}})  # sets stringify unstably
+    with pytest.raises(TypeError):
+        point_key({"measure": len})  # callables have no content key
+    with pytest.raises(TypeError):
+        point_key({1: "non-string key"})
+    # Canonicalisation keeps JSON-equal shapes together ...
+    assert point_key({"grid": (1, 2)}) == point_key({"grid": [1, 2]})
+    assert point_key({"a": 1, "b": 2}) == point_key({"b": 2, "a": 1})
+    # ... and JSON-distinct scalars apart.
+    assert point_key({"v": True}) != point_key({"v": 1})
+    assert point_key({"v": 2}) != point_key({"v": 2.0})
+
+
+def test_system_hash_is_computed_once_per_system(cycle_system, monkeypatch):
+    from repro.store import canonical
+
+    first = system_hash(cycle_system)
+    monkeypatch.setattr(canonical, "canonical_system", None)  # any recomputation fails
+    assert system_hash(cycle_system) == first
 
 
 # -- invalidation --------------------------------------------------------------

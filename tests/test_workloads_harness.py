@@ -11,7 +11,8 @@ from repro.harness.experiments import (
 )
 from repro.harness.reporting import format_table, print_experiment
 from repro.workloads.generators import RandomDMSParameters, random_bounded_runs, random_dms
-from repro.workloads.sweeps import dms_family, sweep
+from repro.runtime import SweepScheduler
+from repro.workloads.sweeps import dms_family
 
 
 def test_random_dms_is_well_formed_and_deterministic():
@@ -44,7 +45,7 @@ def test_random_bounded_runs():
 
 def test_sweep_and_family():
     grid = [{"x": 1}, {"x": 2}]
-    points = sweep(grid, lambda params: {"double": params["x"] * 2})
+    points = SweepScheduler().run(grid, lambda params: {"double": params["x"] * 2})
     assert [point.as_row()["double"] for point in points] == [2, 4]
     family = dms_family(seeds=(0, 1))
     assert len(family) == 2
