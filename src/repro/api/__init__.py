@@ -20,13 +20,14 @@ fuzz oracle and library callers all consume this facade, so behaviour
 (verdicts, witnesses, store keys) is defined in exactly one place.
 """
 
-from repro.api.query import condition_key, instance_predicate, run_reachability
+from repro.api.query import check_condition, condition_key, instance_predicate, run_reachability
 from repro.api.session import Session
 from repro.search import ExplorationOptions
 
 __all__ = [
     "ExplorationOptions",
     "Session",
+    "check_condition",
     "condition_key",
     "instance_predicate",
     "run_reachability",

@@ -33,15 +33,15 @@ from typing import Callable
 from repro.database.instance import DatabaseInstance
 from repro.dms.system import DMS
 from repro.errors import ModelCheckingError
-from repro.fol.evaluator import evaluate_sentence
-from repro.fol.syntax import Query
+from repro.fol.plan import compile_query
+from repro.fol.syntax import Atom, Query
 from repro.modelcheck.result import ReachabilityResult, Verdict
 from repro.recency.explorer import RecencyExplorer
 from repro.recency.semantics import enumerate_b_bounded_successors
 from repro.search import ExplorationOptions
 from repro.store.service import cached_compute
 
-__all__ = ["condition_key", "instance_predicate", "run_reachability"]
+__all__ = ["check_condition", "condition_key", "instance_predicate", "run_reachability"]
 
 
 def condition_key(condition: Query | str) -> str:
@@ -56,6 +56,28 @@ def condition_key(condition: Query | str) -> str:
     return f"q:{condition}"
 
 
+def check_condition(condition: Query | str, system: DMS) -> None:
+    """Validate a reachability condition against the system, without compiling it.
+
+    A string must name a relation of the system's schema; a
+    :class:`~repro.fol.syntax.Query` must be a sentence (no free
+    variables) whose atoms fit the schema.
+
+    Raises:
+        ModelCheckingError: the query is not a sentence.
+        UnknownRelationError, ArityError: the condition does not fit the
+            system's schema.
+    """
+    if isinstance(condition, str):
+        system.schema.relation(condition)
+        return
+    if not condition.is_sentence():
+        raise ModelCheckingError("reachability conditions must be boolean queries (sentences)")
+    for node in condition.walk():
+        if isinstance(node, Atom):
+            system.schema.check_atom(node.relation, node.arguments)
+
+
 def instance_predicate(
     condition: Query | str, system: DMS
 ) -> Callable[[DatabaseInstance], bool]:
@@ -63,15 +85,14 @@ def instance_predicate(
 
     A string names a zero-ary proposition of the system's schema; a
     :class:`~repro.fol.syntax.Query` must be a sentence (no free
-    variables) and is evaluated per instance.
+    variables), and is compiled into a join plan evaluated per instance.
+    Raises what :func:`check_condition` raises.
     """
+    check_condition(condition, system)
     if isinstance(condition, str):
         name = condition
-        system.schema.relation(name)
         return lambda instance: instance.holds_proposition(name)
-    if not condition.is_sentence():
-        raise ModelCheckingError("reachability conditions must be boolean queries (sentences)")
-    return lambda instance: evaluate_sentence(condition, instance)
+    return compile_query(condition, system.schema).holds
 
 
 def run_reachability(
@@ -109,9 +130,14 @@ def run_reachability(
         truncated explorations report ``UNKNOWN``, never ``FAILS``.
     """
     options = options or ExplorationOptions()
-    predicate = instance_predicate(condition, system)
+    check_condition(condition, system)
 
     def compute(successors) -> ReachabilityResult:
+        # Compiled only when exploring, not for a store hit; a guard or
+        # constraint that does not fit the schema raises here, before
+        # any state is explored.
+        predicate = instance_predicate(condition, system)
+        system.compile_plans()
         explorer = RecencyExplorer(system, bound, options, pool=pool, successors=successors)
         witness, stats = explorer.find_configuration(
             lambda configuration: predicate(configuration.instance), on_state

@@ -204,11 +204,13 @@ class Session:
         # Validate coordinator-side so a malformed condition raises the
         # same error type as the inline path instead of a wrapped
         # worker failure.
-        api_query.instance_predicate(condition, system)
+        api_query.check_condition(condition, system)
         key = ("api-query", system_hash(system), "dms" if bound is None else f"recency:{bound}")
         registry = resolve_metrics(self._metrics)
         registry.counter("api_queries_total", path="isolated").inc()
         with self._lock_for(key), registry.histogram("api_query_seconds", path="isolated").time():
+            # The warm worker inherits the system's compiled plans.
+            system.compile_plans()
             context = self.pool.context(key, self._isolated_query(system), workers=1)
             # A query abandoned mid-wait (an exception out of the loop
             # below) may have left its task behind; shed it so its

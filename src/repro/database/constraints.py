@@ -5,6 +5,8 @@ the application of an action is blocked whenever the resulting instance
 violates one of the constraints.  :class:`ConstraintSet` packages a set of
 boolean FOL(R) sentences and checks them against instances; the DMS
 semantics module consults it when a constrained system is executed.
+The sentences are checked through join plans (:mod:`repro.fol.plan`),
+compiled for the instances' schema on first use.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.database.instance import DatabaseInstance
+from repro.database.schema import Schema
 from repro.errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,7 +35,7 @@ class ConstraintSet:
         True
     """
 
-    __slots__ = ("_constraints",)
+    __slots__ = ("_constraints", "_plans")
 
     def __init__(self, constraints: Iterable["Query"] = ()) -> None:
         constraints = tuple(constraints)
@@ -42,6 +45,35 @@ class ConstraintSet:
                     f"constraint {constraint} must be a sentence (no free variables)"
                 )
         self._constraints = constraints
+        self._plans: tuple | None = None
+
+    # Compiled plans hold closures and never travel in a pickle; the
+    # state keeps the shape a slotted class without hooks pickles to.
+    def __getstate__(self) -> tuple:
+        return (None, {"_constraints": self._constraints})
+
+    def __setstate__(self, state: tuple) -> None:
+        self._constraints = state[1]["_constraints"]
+        self._plans = None
+
+    def plans(self, schema: Schema) -> tuple:
+        """The constraints compiled into join plans over ``schema``.
+
+        Compiled on first use and kept until a different schema asks.
+
+        Raises:
+            UnknownRelationError, ArityError: a constraint does not fit
+                the schema.
+        """
+        cached = self._plans
+        if cached is None or (cached[0] is not schema and cached[0] != schema):
+            from repro.fol.plan import compile_query
+
+            cached = self._plans = (
+                schema,
+                tuple(compile_query(constraint, schema) for constraint in self._constraints),
+            )
+        return cached[1]
 
     @classmethod
     def empty(cls) -> "ConstraintSet":
@@ -64,18 +96,12 @@ class ConstraintSet:
 
     def satisfied_by(self, instance: DatabaseInstance) -> bool:
         """True when every constraint holds in ``instance``."""
-        from repro.fol.evaluator import evaluate_sentence
-
-        return all(evaluate_sentence(constraint, instance) for constraint in self._constraints)
+        return all(plan.holds(instance) for plan in self.plans(instance.schema))
 
     def violated_by(self, instance: DatabaseInstance) -> tuple:
         """Return the constraints violated by ``instance`` (empty when satisfied)."""
-        from repro.fol.evaluator import evaluate_sentence
-
         return tuple(
-            constraint
-            for constraint in self._constraints
-            if not evaluate_sentence(constraint, instance)
+            plan.query for plan in self.plans(instance.schema) if not plan.holds(instance)
         )
 
     def add(self, constraint: "Query") -> "ConstraintSet":

@@ -172,6 +172,15 @@ class DatabaseInstance:
         self._schema.relation(name)
         return self._by_relation.get(name, frozenset())
 
+    def rows_by_relation(self) -> Mapping[str, frozenset]:
+        """The ``{relation: rows}`` index, for join plans (:mod:`repro.fol.plan`).
+
+        Relations without rows are absent.  Unlike :meth:`relation_rows`
+        and :meth:`holds`, a lookup does no schema check: plans check
+        their atoms when they are compiled.  Callers must not mutate it.
+        """
+        return self._by_relation
+
     def holds(self, relation: str, *arguments: Value) -> bool:
         """True when the fact ``relation(arguments)`` is in the instance."""
         self._schema.check_atom(relation, tuple(arguments))

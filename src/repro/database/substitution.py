@@ -189,6 +189,14 @@ class VariableDatabase:
         Raises:
             SubstitutionError: if a variable of the database is not bound.
         """
+        return DatabaseInstance(self._schema, self.instantiate(sigma))
+
+    def instantiate(self, sigma: Mapping[str, Value]) -> list[Fact]:
+        """The facts of ``Substitute(I, σ)``, not yet validated into an instance.
+
+        Raises:
+            SubstitutionError: if a variable of the database is not bound.
+        """
         instantiated = []
         for fact in self._facts:
             arguments = []
@@ -200,7 +208,7 @@ class VariableDatabase:
                         f"variable {argument!r} in fact {fact} is not bound by {dict(sigma)!r}"
                     )
             instantiated.append(Fact(fact.relation, tuple(arguments)))
-        return DatabaseInstance(self._schema, instantiated)
+        return instantiated
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "VariableDatabase":
         """Consistently rename variables (used by the Appendix F constructions)."""

@@ -25,6 +25,7 @@ from repro.database.instance import Fact
 from repro.database.schema import Schema
 from repro.database.substitution import VariableDatabase
 from repro.errors import ActionError
+from repro.fol.plan import QueryPlan, compile_query
 from repro.fol.syntax import Query, TrueQuery
 
 __all__ = ["Action"]
@@ -175,6 +176,25 @@ class Action:
     def data_variable_count(self) -> int:
         """Number of data variables used by the guard (the ``n`` of §6.6)."""
         return len(self.guard.variables())
+
+    # The compiled guard plan is kept on the action, out of its fields;
+    # plans hold closures, so they never travel in a pickle.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_guard_plan", None)
+        return state
+
+    def guard_plan(self) -> QueryPlan:
+        """The guard compiled into a join plan over the parameters.
+
+        Compiled on first use and kept on the action; the plan checks
+        the guard's atoms against the action's schema.
+        """
+        plan = self.__dict__.get("_guard_plan")
+        if plan is None:
+            plan = compile_query(self.guard, self.schema, self.parameters)
+            object.__setattr__(self, "_guard_plan", plan)
+        return plan
 
     # -- transformations --------------------------------------------------------
 

@@ -32,7 +32,7 @@ from repro.dms.action import Action
 from repro.dms.configuration import Configuration
 from repro.dms.run import ExtendedRun, Step
 from repro.dms.system import DMS
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SchemaError
 from repro.fol.evaluator import iter_answers, satisfies
 
 __all__ = [
@@ -97,9 +97,14 @@ def apply_action(
             f"at {configuration}"
         )
     substitution = Substitution(dict(sigma))
-    deletions = action.deletions.substitute(substitution.restrict(action.parameters))
-    additions = action.additions.substitute(substitution)
-    new_instance = (configuration.instance - deletions) + additions
+    instance = configuration.instance
+    if action.schema is not instance.schema and action.schema != instance.schema:
+        raise SchemaError("database algebra requires both instances over the same schema")
+    # One construction of (I − Del) + Add, validating every fact.
+    new_instance = instance.apply_update(
+        action.deletions.instantiate(substitution.restrict(action.parameters)),
+        action.additions.instantiate(substitution),
+    )
     new_history = configuration.extend_history(
         substitution[v] for v in action.fresh
     )

@@ -112,6 +112,18 @@ class DMS:
         """``max_α |α·free|``."""
         return max((len(action.parameters) for action in self.actions), default=0)
 
+    def compile_plans(self) -> "DMS":
+        """Compile every guard and constraint into its join plan now; returns ``self``.
+
+        Plans are otherwise compiled on first use.  Call this before
+        forking workers, so they inherit the plans instead of each
+        compiling its own, and to raise a schema error before exploring.
+        """
+        for action in self.actions:
+            action.guard_plan()
+        self.constraints.plans(self.schema)
+        return self
+
     def max_guard_variables(self) -> int:
         """Maximum number of data variables in any guard (the ``n`` of §6.6)."""
         return max((action.data_variable_count() for action in self.actions), default=0)

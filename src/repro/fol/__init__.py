@@ -2,6 +2,9 @@
 
 This is the query language of the paper's Section 2, used both as action
 guards (Section 3) and as the atomic formulae ``Q@x`` of MSO-FO (Section 4).
+Explorations answer guards, reachability conditions and constraints
+through join plans (:mod:`repro.fol.plan`); the tree-walking interpreter
+(:mod:`repro.fol.evaluator`) is their reference.
 """
 
 from repro.fol.active import active_query, fresh_variable_names
@@ -23,6 +26,7 @@ from repro.fol.normalize import (
     to_nnf,
 )
 from repro.fol.parser import parse_query
+from repro.fol.plan import QueryPlan, compile_query
 from repro.fol.syntax import (
     And,
     Atom,
@@ -57,10 +61,12 @@ __all__ = [
     "Query",
     "QueryBuilder",
     "QueryEvaluator",
+    "QueryPlan",
     "TrueQuery",
     "active_query",
     "answers",
     "atom",
+    "compile_query",
     "conjunction",
     "count_data_variables",
     "disjunction",

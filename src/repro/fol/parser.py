@@ -23,7 +23,7 @@ argument/equality positions are data variables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import QueryParseError
 from repro.fol.syntax import (
@@ -53,11 +53,14 @@ _TOKEN_PATTERN = re.compile(
 _KEYWORDS = {"true", "false", "and", "or", "not", "exists", "forall"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     position: int
+
+
+#: Closes every token list, so lookahead never runs off its end.
+_END = _Token("end", "", -1)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -76,6 +79,7 @@ def _tokenize(text: str) -> list[_Token]:
             kind = value.lower()
         tokens.append(_Token(kind, value, start))
         position = match.end()
+    tokens.append(_END)
     return tokens
 
 
@@ -88,9 +92,8 @@ class _Parser:
     # -- token helpers -----------------------------------------------------
 
     def _peek(self) -> _Token | None:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
+        token = self._tokens[self._index]
+        return None if token is _END else token
 
     def _next(self) -> _Token:
         token = self._peek()
@@ -100,8 +103,8 @@ class _Parser:
         return token
 
     def _accept(self, kind: str) -> _Token | None:
-        token = self._peek()
-        if token is not None and token.kind == kind:
+        token = self._tokens[self._index]
+        if token.kind == kind:
             self._index += 1
             return token
         return None

@@ -33,6 +33,7 @@ only the points it had not finished.  The store object is fork-safe, so
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from repro.dms.system import DMS
@@ -44,6 +45,9 @@ from repro.runtime import SweepScheduler
 from repro.search import RETAIN_COUNTS, ExplorationOptions
 
 __all__ = ["BoundSweepEntry", "reachability_bound_sweep", "state_space_bound_sweep", "convergence_bound"]
+
+# The measurement key a forked point's store session counts travel under.
+_STORE_SESSION = "_store_session"
 
 
 @dataclass(frozen=True)
@@ -60,14 +64,34 @@ class BoundSweepEntry:
         return (self.bound, self.verdict.value, self.configurations, self.edges)
 
 
-def _bound_rows(bounds, measure, parallel: int, on_point) -> tuple[BoundSweepEntry, ...]:
+def _bound_rows(bounds, measure, parallel: int, on_point, store) -> tuple[BoundSweepEntry, ...]:
     """Run ``measure`` over ``{"b": bound}`` points; one entry per bound, in order.
 
     A measurement without a ``"verdict"`` (the state-space sweep asks no
-    question) reports :attr:`Verdict.UNKNOWN`.
+    question) reports :attr:`Verdict.UNKNOWN`.  A point measured in a
+    forked worker looks up in the worker's copy of ``store``, so its
+    store session counts travel back with its measurements and are
+    folded into ``store`` here.
     """
+    parent = os.getpid()
+    measured = measure
+    if parallel > 1 and store:
+
+        def measured(parameters: dict) -> dict:
+            if os.getpid() == parent:
+                return measure(parameters)
+            store.reset_session()
+            return {**measure(parameters), _STORE_SESSION: store.session()}
+
+    def collect(record) -> None:
+        session = record.measurements.pop(_STORE_SESSION, None)
+        if session is not None:
+            store.absorb_session(session)
+        if on_point is not None:
+            on_point(record)
+
     records = SweepScheduler(parallel=parallel).run(
-        [{"b": bound} for bound in bounds], measure, on_point=on_point
+        [{"b": bound} for bound in bounds], measured, on_point=collect
     )
     return tuple(
         BoundSweepEntry(
@@ -134,7 +158,7 @@ def reachability_bound_sweep(
             "edges": result.edges_explored,
         }
 
-    return _bound_rows(bounds, measure, parallel, on_point)
+    return _bound_rows(bounds, measure, parallel, on_point, exploration_store)
 
 
 def state_space_bound_sweep(
@@ -191,7 +215,7 @@ def state_space_bound_sweep(
             "edges": result.edge_count,
         }
 
-    return _bound_rows(bounds, measure, parallel, on_point)
+    return _bound_rows(bounds, measure, parallel, on_point, exploration_store)
 
 
 def convergence_bound(

@@ -168,6 +168,9 @@ class RecencyExplorer:
         if options.single_shard:
             self._engine_instance = Engine(self._successors_override or successors, options)
         else:
+            # Workers forked for the sharded engine inherit the plans
+            # compiled here instead of each compiling its own.
+            system.compile_plans()
             context = None
             if options.nodes > 1:
                 from repro.distributed.context import RecencyContext

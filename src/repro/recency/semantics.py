@@ -28,7 +28,6 @@ from repro.dms.run import ExtendedRun, Run, Step
 from repro.dms.semantics import apply_action, is_instantiating_substitution
 from repro.dms.system import DMS
 from repro.errors import ExecutionError, RecencyError
-from repro.fol.evaluator import iter_answers
 from repro.recency.recent import recent_elements
 from repro.recency.sequence import SequenceNumbering
 
@@ -261,20 +260,25 @@ def enumerate_b_bounded_successors(
 ) -> Iterator[RecencyStep]:
     """Enumerate the canonical b-bounded successors of a configuration.
 
-    The action parameters are bound over ``Recent_b`` only (condition 2),
-    so the guard is evaluated on at most ``b^|u⃗|`` bindings; fresh values
-    are the least unused standard names.  With ``bound=None`` the steps
-    are those of :func:`repro.dms.semantics.enumerate_successors`, in the
-    same order, with sequence numbers attached.
+    The action parameters are bound over ``Recent_b`` only (condition 2):
+    each guard is answered by its compiled join plan
+    (:meth:`~repro.dms.action.Action.guard_plan`), whose scans bind a
+    parameter only to a recent value.  Fresh values are the least unused
+    standard names, allocated once per configuration; each action takes
+    the prefix it needs.  With ``bound=None`` the steps are those of
+    :func:`repro.dms.semantics.enumerate_successors`, in the same order,
+    with sequence numbers attached.
     """
     chosen = tuple(actions) if actions is not None else system.actions
     instance = configuration.instance
     recent = configuration.recent(bound)
+    fresh_names = FreshValueAllocator(used=configuration.history).fresh_many(
+        max((len(action.fresh) for action in chosen), default=0)
+    )
     for action in chosen:
-        allocator = FreshValueAllocator(used=configuration.history)
-        fresh = dict(zip(action.fresh, allocator.fresh_many(len(action.fresh))))
-        for answer in iter_answers(action.guard, instance, action.parameters, recent):
-            sigma = Substitution({u: answer[u] for u in action.parameters} | fresh)
+        fresh = dict(zip(action.fresh, fresh_names))
+        for values in action.guard_plan().answers(instance, recent):
+            sigma = Substitution(dict(zip(action.parameters, values)) | fresh)
             target = apply_action_b_bounded(action, configuration, sigma, bound, check=False)
             if system.constraints and not system.constraints.satisfied_by(target.instance):
                 continue

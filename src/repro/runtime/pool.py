@@ -179,6 +179,7 @@ class ProcessWorkerContext:
         self._next_task_id = 0
         self._backlog: deque[tuple[int, Any]] = deque()  # submitted, not dispatched
         self._pending: dict[int, Any] = {}  # task_id -> payload (until done)
+        self._pinned: dict[int, int] = {}  # task_id -> worker index (pinned tasks only)
         self._closed = False
         self.grow(workers)
 
@@ -235,13 +236,21 @@ class ProcessWorkerContext:
 
     # -- task execution --------------------------------------------------------
 
-    def submit(self, payload: Any) -> int:
-        """Queue one task; returns its id (results arrive via :meth:`events`)."""
+    def submit(self, payload: Any, worker: int | None = None) -> int:
+        """Queue one task; returns its id (results arrive via :meth:`events`).
+
+        ``worker`` pins the task to the worker of that index (modulo the
+        context's size); unpinned tasks go to whichever worker is idle
+        first.  A pinned task waits for its worker even while another
+        idles, so its cost never depends on which worker drew it.
+        """
         if self._closed:
             raise WorkerPoolError("cannot submit to a shut-down worker context")
         task_id = self._next_task_id
         self._next_task_id += 1
         self._pending[task_id] = payload
+        if worker is not None:
+            self._pinned[task_id] = worker % len(self._workers)
         self._backlog.append((task_id, payload))
         return task_id
 
@@ -257,6 +266,7 @@ class ProcessWorkerContext:
         """
         self._backlog.clear()
         self._pending.clear()
+        self._pinned.clear()
 
     def events(self, task_timeout: float | None = None) -> Iterator[tuple[int, Any, str | None]]:
         """Yield ``(task_id, value, error)`` for every outstanding task.
@@ -291,6 +301,7 @@ class ProcessWorkerContext:
                 worker.current = None
                 if task_id in self._pending:
                     del self._pending[task_id]
+                    self._pinned.pop(task_id, None)
                     if record is not None:
                         record.histogram("pool_dispatch_seconds").observe(
                             time.monotonic() - worker.sent_at
@@ -305,20 +316,30 @@ class ProcessWorkerContext:
 
         One-at-a-time dispatch keeps every pipe write paired with a
         worker blocked in ``recv``, so the coordinator never blocks
-        sending while a worker blocks sending a large result back.
+        sending while a worker blocks sending a large result back.  An
+        idle worker takes the oldest task that is unpinned or pinned to
+        it.
         """
-        if not self._backlog:
+        backlog = self._backlog
+        if not backlog:
             return
-        for worker in self._workers:
-            if not self._backlog:
+        pinned = self._pinned
+        for index, worker in enumerate(self._workers):
+            if not backlog:
                 break
-            if worker.current is None and worker.process.is_alive():
-                task = self._backlog.popleft()
-                try:
-                    worker.assign(task)
-                except (BrokenPipeError, OSError):
-                    self._backlog.appendleft(task)
-                    worker.current = None
+            if worker.current is not None or not worker.process.is_alive():
+                continue
+            for position, task in enumerate(backlog):
+                if pinned.get(task[0], index) == index:
+                    break
+            else:
+                continue
+            del backlog[position]
+            try:
+                worker.assign(task)
+            except (BrokenPipeError, OSError):
+                backlog.appendleft(task)
+                worker.current = None
 
     def _expire(self, task_timeout: float | None) -> tuple[int, Any, str] | None:
         """Kill the worker of the first over-deadline task; report the timeout."""
@@ -337,6 +358,7 @@ class ProcessWorkerContext:
                 pass
             if task_id in self._pending:
                 del self._pending[task_id]
+                self._pinned.pop(task_id, None)
                 return task_id, None, f"timeout: exceeded {task_timeout}s on worker {pid}"
         return None
 
@@ -394,8 +416,8 @@ class SerialWorkerContext:
         """The coordinator's own pid."""
         return (os.getpid(),)
 
-    def submit(self, payload: Any) -> int:
-        """Queue one task (same contract as the process context's)."""
+    def submit(self, payload: Any, worker: int | None = None) -> int:
+        """Queue one task (same contract as the process context's; ``worker`` is moot)."""
         # Same lifecycle contract as the process context, so misuse
         # surfaces identically on platforms without fork.
         if self._closed:
@@ -509,8 +531,13 @@ class PooledExpansionBackend:
         context = self._context
         context.reset()  # shed any bookkeeping an abandoned consumer left behind
         context.ensure_alive()
-        for batch in _drain_batches(frontiers, batch_size):
-            context.submit(batch)
+        # Each batch goes to the worker of the shard that took it: the
+        # schedule is the same in every repetition of an exploration, so
+        # a worker meets the same states again and finds them in its
+        # decode cache, and neither it nor the coordinator encodes or
+        # decodes them twice, whichever worker is idle first.
+        for shard, batch in _drain_batches(frontiers, batch_size):
+            context.submit(batch, worker=shard)
         expansions: dict = {}
         failure: str | None = None
         # Drain *every* event even when one errors: leaving tasks pending

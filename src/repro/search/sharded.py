@@ -205,21 +205,22 @@ class ShardFrontiers:
 # -- expansion backends ------------------------------------------------------------
 
 
-def _drain_batches(frontiers: ShardFrontiers, batch_size: int) -> list[list]:
+def _drain_batches(frontiers: ShardFrontiers, batch_size: int) -> list[tuple[int, list]]:
     """Materialise all expansion batches of a level, round-robin with stealing.
 
     A cursor cycles over the shards the way a pool of per-shard workers
     would: each shard takes batches from its own frontier and steals from
-    the fullest one once its own has drained.
+    the fullest one once its own has drained.  Returns ``(shard, batch)``
+    pairs, ``shard`` being the cursor that took the batch.
     """
-    batches: list[list] = []
+    batches: list[tuple[int, list]] = []
     shard = 0
     shards = frontiers.shards
     while frontiers:
         batch = frontiers.take_batch(shard, batch_size)
-        shard = (shard + 1) % shards
         if batch:
-            batches.append(batch)
+            batches.append((shard, batch))
+        shard = (shard + 1) % shards
     return batches
 
 
@@ -239,7 +240,7 @@ class SerialExpansionBackend:
         """Expand every queued state; returns ``{ref: [edges]}``."""
         successors = self._successors
         expansions: dict = {}
-        for batch in _drain_batches(frontiers, batch_size):
+        for _, batch in _drain_batches(frontiers, batch_size):
             for ref, state in batch:
                 expansions[ref] = list(successors(state))
         return expansions

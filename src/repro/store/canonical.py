@@ -53,6 +53,7 @@ __all__ = [
     "key_digest",
     "point_key",
     "schema_hash",
+    "serialised_digest",
     "system_hash",
 ]
 
@@ -138,6 +139,15 @@ def key_digest(parameters) -> str:
         serialised = point_key(parameters)
     except TypeError as error:
         raise StoreKeyError(f"store key cannot be derived: {error}") from error
+    return serialised_digest(serialised)
+
+
+def serialised_digest(serialised: str) -> str:
+    """The store key of an assignment already serialised by :func:`point_key`.
+
+    ``key_digest(p) == serialised_digest(point_key(p))``; callers that
+    also record the serialisation hash it once instead of twice.
+    """
     return hashlib.sha256(serialised.encode("utf-8")).hexdigest()
 
 

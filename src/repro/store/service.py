@@ -41,7 +41,13 @@ from repro.dms.system import DMS
 from repro.errors import StoreKeyError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
-from repro.store.canonical import base_hash, key_digest, point_key, schema_hash, system_hash
+from repro.store.canonical import (
+    base_hash,
+    point_key,
+    schema_hash,
+    serialised_digest,
+    system_hash,
+)
 from repro.store.capture import DeltaSuccessors, Subgraph, SubgraphRecorder
 from repro.store.store import KIND_RESULT, KIND_SUBGRAPH, ResultStore
 
@@ -134,8 +140,8 @@ def cached_compute(
         content = system_hash(system)
         key_parameters = dict(parameters)
         key_parameters.update({"graph": graph, "system": content})
-        key = key_digest(key_parameters)
         serialised = point_key(key_parameters)
+        key = serialised_digest(serialised)
     except (StoreKeyError, TypeError):
         return compute(None), outcome
     outcome.key = key
@@ -179,8 +185,8 @@ def cached_compute(
     }
     resolved.save(key, KIND_RESULT, payload, parameters=serialised, **row)
     if recorder is not None and recorder.subgraph.state_count:
-        subgraph_parameters = {"payload": "subgraph", "graph": graph, "system": content}
-        subgraph_key = key_digest(subgraph_parameters)
+        subgraph_serialised = point_key({"payload": "subgraph", "graph": graph, "system": content})
+        subgraph_key = serialised_digest(subgraph_serialised)
         recorded = recorder.subgraph
         existing = resolved.load(subgraph_key, kind=KIND_SUBGRAPH)
         if isinstance(existing, Subgraph):
@@ -188,8 +194,7 @@ def cached_compute(
             # so the union is consistent by construction.
             recorded.absorb(existing)
         resolved.save(
-            subgraph_key, KIND_SUBGRAPH, recorded,
-            parameters=point_key(subgraph_parameters), **row,
+            subgraph_key, KIND_SUBGRAPH, recorded, parameters=subgraph_serialised, **row,
         )
     resolved.invalidate_schema_change(system.name, schema_digest)
     return payload, outcome

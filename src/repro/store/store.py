@@ -23,7 +23,9 @@ stale temp file at worst, never a half-written blob under a live key.
 Concurrency: the store is safe to share across forked sweep workers.
 Connections are opened lazily **per process** (a
 :class:`ResultStore` pickles/forks as a plain path holder), SQLite
-serialises writers with a generous busy timeout, and last-writer-wins
+serialises writers with a generous busy timeout (the index runs in
+write-ahead-log mode, so its ``-wal``/``-shm`` files sit next to it
+while a connection is open), and last-writer-wins
 semantics are correct here because two writers racing on one key are by
 construction writing the same content.
 
@@ -88,20 +90,42 @@ class ResultStore:
     self-repairs since this instance (in this process) was created —
     surfaced by :meth:`stats` under ``"session"`` and mirrored into the
     process-wide metrics registry as ``store_lookups_total``,
-    ``store_saves_total`` and ``store_repairs_total``.  Pickling/forking
-    resets them: a forked worker accumulates its own session.
+    ``store_saves_total`` and ``store_repairs_total``.  Pickling resets
+    them, and a forked worker counts in its own copy: its parent folds
+    the worker's counts in with :meth:`absorb_session`.
     """
 
     def __init__(self, root: str | Path) -> None:
         self._root = Path(root)
         self._connections: dict[int, sqlite3.Connection] = {}
-        self._reset_session()
+        self.reset_session()
 
-    def _reset_session(self) -> None:
+    def reset_session(self) -> None:
+        """Zero the session counters."""
         self._session_hits: dict[str, int] = {}
         self._session_misses: dict[str, int] = {}
         self._session_saves: dict[str, int] = {}
         self._session_repairs = 0
+
+    def session(self) -> dict:
+        """A copy of the session counters: per-kind hits, misses and saves, and repairs."""
+        return {
+            "hits": dict(self._session_hits),
+            "misses": dict(self._session_misses),
+            "saves": dict(self._session_saves),
+            "repairs": self._session_repairs,
+        }
+
+    def absorb_session(self, session: dict) -> None:
+        """Add counters another process's copy of this store collected (:meth:`session`)."""
+        for name, totals in (
+            ("hits", self._session_hits),
+            ("misses", self._session_misses),
+            ("saves", self._session_saves),
+        ):
+            for kind, count in session[name].items():
+                totals[kind] = totals.get(kind, 0) + count
+        self._session_repairs += session["repairs"]
 
     def __getstate__(self) -> dict:
         return {"root": str(self._root)}
@@ -109,7 +133,7 @@ class ResultStore:
     def __setstate__(self, state: dict) -> None:
         self._root = Path(state["root"])
         self._connections = {}
-        self._reset_session()
+        self.reset_session()
 
     @property
     def root(self) -> Path:
@@ -128,6 +152,13 @@ class ResultStore:
             return connection
         self._root.mkdir(parents=True, exist_ok=True)
         connection = sqlite3.connect(self._root / "index.sqlite", timeout=30.0)
+        # A write-ahead log synced only at checkpoints: a commit (every
+        # save, and every hit's count) waits for no fsync, which on a
+        # busy shared disk can take tens of milliseconds.  The index
+        # stays consistent through any crash; a power loss can only drop
+        # the last commits, and their points are recomputed like a miss.
+        connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute("PRAGMA synchronous=NORMAL")
         connection.executescript(_SCHEMA)
         connection.commit()
         # Drop connections inherited from a parent process: SQLite
@@ -322,12 +353,7 @@ class ResultStore:
             "subgraphs": by_kind.get(KIND_SUBGRAPH, 0),
             "hits": hits,
             "bytes": size,
-            "session": {
-                "hits": dict(self._session_hits),
-                "misses": dict(self._session_misses),
-                "saves": dict(self._session_saves),
-                "repairs": self._session_repairs,
-            },
+            "session": self.session(),
         }
 
     def keys(self) -> list[str]:

@@ -87,6 +87,11 @@ def slow_measure(parameters: dict) -> dict:
     return {"value": parameters["n"] * 10}
 
 
+def pid_measure(parameters: dict) -> int:
+    time.sleep(0.005)
+    return os.getpid()
+
+
 # -- warm worker pools ---------------------------------------------------------
 
 
@@ -244,6 +249,26 @@ def test_scheduler_abandoned_context_does_not_break_next_sweep():
         submitted = {context.submit({"n": n}): n for n in range(5)}
         outcomes = sorted((submitted[task_id], value) for task_id, value, _ in context.events())
         assert outcomes == [(n, {"value": n}) for n in range(5)]
+
+
+@needs_fork
+def test_pinned_tasks_run_on_their_worker():
+    with WorkerPool(workers=2) as pool:
+        context = pool.context("pinned", pid_measure, workers=2)
+        pinned = {context.submit({}, worker=index % 2): index % 2 for index in range(12)}
+        free = [context.submit({}) for _ in range(4)]
+        ran_on: dict[int, set] = {0: set(), 1: set()}
+        finished = set()
+        for task_id, pid, error in context.events():
+            assert error is None
+            finished.add(task_id)
+            if task_id in pinned:
+                ran_on[pinned[task_id]].add(pid)
+        assert finished == set(pinned) | set(free)
+        # Each index's tasks ran on one worker, and the two workers differ.
+        assert len(ran_on[0]) == len(ran_on[1]) == 1
+        assert ran_on[0] != ran_on[1]
+        assert ran_on[0] | ran_on[1] == set(context.pids())
 
 
 @needs_fork
@@ -520,6 +545,18 @@ def test_cli_streams_checkpoints_and_rejects_unsupported_flags(tmp_path, capsys)
     with pytest.raises(SystemExit):
         main(["E9", "--resume"])  # the JSONL checkpoint flags are gone
     capsys.readouterr()
+
+
+def test_parallel_rerun_reports_the_forked_points_store_session(tmp_path, capsys):
+    from repro.harness.cli import main
+
+    # Forked point workers look up in their own copies of the store;
+    # their session counts must reach the parent's --store-stats line.
+    arguments = ["E9", "--parallel", "4", "--store", str(tmp_path / "e9.store"), "--store-stats"]
+    assert main(arguments) == 0
+    assert "session hit/miss result=0/7" in capsys.readouterr().out
+    assert main(arguments) == 0
+    assert "session hit/miss result=7/0 repairs=0" in capsys.readouterr().out
 
 
 def test_stream_experiment_returns_the_rows_it_prints(capsys):

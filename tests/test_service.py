@@ -283,6 +283,23 @@ def test_undeclared_proposition_is_400(client):
     assert reply.status == 400
 
 
+@pytest.mark.parametrize(
+    "condition,named",
+    [("Exists x. Nope(x)", "'Nope'"), ("Exists x. BAccepted(x, x)", "BAccepted/1")],
+)
+@pytest.mark.parametrize("endpoint", ["reachability", "convergence"])
+def test_condition_off_the_schema_never_yields_a_verdict(client, endpoint, condition, named):
+    payload = {**QUERY, "condition": condition, "bounds": [0, 2]}
+    reply = client.post(f"/v1/{endpoint}", json_body=payload)
+    assert reply.status == 400
+    assert named in reply.json()["error"]
+    streamed = client.post(f"/v1/{endpoint}", json_body={**payload, "stream": True})
+    events = streamed.events()
+    assert [kind for kind, _ in events] == ["ready", "error"]
+    assert named in events[-1][1]["error"]
+    assert client.get("/healthz").json()["active_requests"] == 0
+
+
 def test_malformed_json_is_400(client):
     reply = client.request("POST", "/v1/reachability", json_body=None)
     assert reply.status == 400

@@ -494,6 +494,45 @@ def test_exploration_falls_back_without_shared_memory(monkeypatch):
     assert merged.edge_count == reference.edge_count
 
 
+LAYERS, WIDTH = 6, 24
+
+
+def layered_successors(node: Node):
+    """Every node of a layer reaches three of the next; targets overlap."""
+    layer, index = divmod(node.key, WIDTH)
+    if layer + 1 >= LAYERS:
+        return []
+    base = (layer + 1) * WIDTH
+    children = sorted({(index + step) % WIDTH for step in (0, 1, 7)})
+    return [Edge(node, Node(base + child)) for child in children]
+
+
+@needs_fork
+@needs_shm
+def test_repeated_exploration_appends_nothing_to_the_shared_store():
+    # Batches are pinned to the worker of the shard that took them, so a
+    # repeated exploration sends every worker the states it met the
+    # first time: no worker appends a duplicate, and the coordinator
+    # decodes nothing new, whichever worker is idle first.
+    with WorkerPool(workers=2) as pool:
+        engine = ShardedEngine(
+            layered_successors,
+            retain_full(max_depth=LAYERS, shards=2, workers=2),
+            pool=pool,
+            pool_key="layered",
+            batch_size=2,
+        )
+        reference = engine.explore(Node(0))
+        store = pool.shared_store("layered")
+        assert store is not None
+        entries = len(store)
+        for _ in range(3):
+            again = engine.explore(Node(0))
+            assert set(again.states()) == set(reference.states())
+            assert len(store) == entries
+        engine.close()
+
+
 @needs_fork
 @needs_shm
 def test_store_created_after_warm_context_stays_pickled(monkeypatch):
