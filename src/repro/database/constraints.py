@@ -121,5 +121,14 @@ class ConstraintSet:
             result = And(result, constraint)
         return result
 
+    # Equal sentences make equal sets; compiled plans are not compared.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConstraintSet):
+            return NotImplemented
+        return self._constraints == other._constraints
+
+    def __hash__(self) -> int:
+        return hash(self._constraints)
+
     def __repr__(self) -> str:
         return f"ConstraintSet({list(self._constraints)!r})"

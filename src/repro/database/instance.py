@@ -12,6 +12,7 @@ difference; they are exposed here as ``+`` and ``-`` on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.database.domain import Value
@@ -19,6 +20,8 @@ from repro.database.schema import Schema
 from repro.errors import SchemaError
 
 __all__ = ["Fact", "DatabaseInstance"]
+
+_NO_ROWS: frozenset = frozenset()
 
 
 @dataclass(frozen=True, order=True)
@@ -233,6 +236,37 @@ class DatabaseInstance:
     ) -> "DatabaseInstance":
         """Apply ``(I − Del) + Add``; additions win over deletions."""
         return DatabaseInstance(self._schema, (self._facts - set(deletions)) | set(additions))
+
+    def _updated(self, changes: list[tuple[str, list, list]]) -> "DatabaseInstance":
+        """``(I − Del) + Add`` from rows already checked against the schema.
+
+        The trusted twin of :meth:`apply_update`, for successors built
+        from a compiled action update
+        (:meth:`repro.dms.action.Action.updated_instance`).  ``changes``
+        holds one ``(relation, deleted rows, added rows)`` triple per
+        relation the update touches; additions win over deletions.  No
+        fact is checked again, the surviving facts keep the hashes their
+        set already holds, only the touched relations get new rows, and
+        ``adom`` comes from the rows.
+        """
+        by_relation = dict(self._by_relation)
+        deleted_facts: list[Fact] = []
+        added_facts: list[Fact] = []
+        for relation, deleted, added in changes:
+            rows = by_relation.get(relation, _NO_ROWS).difference(deleted).union(added)
+            if rows:
+                by_relation[relation] = rows
+            else:
+                by_relation.pop(relation, None)
+            deleted_facts += [Fact(relation, row) for row in deleted]
+            added_facts += [Fact(relation, row) for row in added]
+        instance = object.__new__(DatabaseInstance)
+        instance._schema = self._schema
+        instance._facts = self._facts.difference(deleted_facts).union(added_facts)
+        instance._by_relation = by_relation
+        instance._adom = frozenset(chain.from_iterable(chain.from_iterable(by_relation.values())))
+        instance._hash = hash((self._schema, instance._facts))
+        return instance
 
     def _require_same_schema(self, other: "DatabaseInstance") -> None:
         if self._schema != other._schema:

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.database.instance import Fact
+from repro.database.instance import DatabaseInstance, Fact
 from repro.database.schema import Schema
 from repro.database.substitution import VariableDatabase
-from repro.errors import ActionError
+from repro.errors import ActionError, SubstitutionError
 from repro.fol.plan import QueryPlan, compile_query
 from repro.fol.syntax import Query, TrueQuery
 
@@ -177,11 +177,12 @@ class Action:
         """Number of data variables used by the guard (the ``n`` of §6.6)."""
         return len(self.guard.variables())
 
-    # The compiled guard plan is kept on the action, out of its fields;
-    # plans hold closures, so they never travel in a pickle.
+    # The compiled guard and update plans are kept on the action, out of
+    # its fields; they never travel in a pickle.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_guard_plan", None)
+        state.pop("_update_plan", None)
         return state
 
     def guard_plan(self) -> QueryPlan:
@@ -195,6 +196,48 @@ class Action:
             plan = compile_query(self.guard, self.schema, self.parameters)
             object.__setattr__(self, "_guard_plan", plan)
         return plan
+
+    def update_plan(self) -> tuple:
+        """``Del`` and ``Add`` compiled into one template over ``u⃗ · v⃗``.
+
+        One ``(relation, deleted, added)`` triple per relation the update
+        touches; ``deleted`` and ``added`` hold one tuple of positions per
+        fact, and the fact's arguments are ``values[p]`` for ``p`` in it,
+        where ``values`` is ``σ(u⃗) · σ(v⃗)``.  ``Del`` may only use
+        parameters.  Compiled on first use and kept on the action; the
+        facts were checked against the schema when the action was built,
+        so the template fits it.
+
+        Raises:
+            SubstitutionError: a ``Del`` fact uses a variable outside
+                ``u⃗``, or an ``Add`` fact one outside ``u⃗ · v⃗``.
+        """
+        plan = self.__dict__.get("_update_plan")
+        if plan is None:
+            deleted = _positions(self.deletions, self.parameters)
+            added = _positions(self.additions, self.all_variables)
+            plan = tuple(
+                (relation, tuple(deleted.get(relation, ())), tuple(added.get(relation, ())))
+                for relation in sorted(deleted.keys() | added.keys())
+            )
+            object.__setattr__(self, "_update_plan", plan)
+        return plan
+
+    def updated_instance(self, instance: DatabaseInstance, values: tuple) -> DatabaseInstance:
+        """``(I − Del σ) + Add σ`` for ``values = σ(u⃗) · σ(v⃗)``, checking no fact again.
+
+        ``instance`` must be over the action's schema.
+        """
+        return instance._updated(
+            [
+                (
+                    relation,
+                    [tuple([values[p] for p in positions]) for positions in deleted],
+                    [tuple([values[p] for p in positions]) for positions in added],
+                )
+                for relation, deleted, added in self.update_plan()
+            ]
+        )
 
     # -- transformations --------------------------------------------------------
 
@@ -240,3 +283,19 @@ class Action:
             f"guard={self.guard}, Del={sorted(str(f) for f in self.deletions)}, "
             f"Add={sorted(str(f) for f in self.additions)}⟩"
         )
+
+
+def _positions(facts: VariableDatabase, variables: tuple[str, ...]) -> dict[str, list]:
+    """``{relation: [positions into variables, one tuple per fact]}`` for ``facts``."""
+    index = {variable: position for position, variable in enumerate(variables)}
+    positions: dict[str, list] = {}
+    for fact in sorted(facts):
+        unbound = [argument for argument in fact.arguments if argument not in index]
+        if unbound:
+            raise SubstitutionError(
+                f"variable {unbound[0]!r} in fact {fact} is not among {list(variables)}"
+            )
+        positions.setdefault(fact.relation, []).append(
+            tuple(index[argument] for argument in fact.arguments)
+        )
+    return positions

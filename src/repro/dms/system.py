@@ -113,7 +113,7 @@ class DMS:
         return max((len(action.parameters) for action in self.actions), default=0)
 
     def compile_plans(self) -> "DMS":
-        """Compile every guard and constraint into its join plan now; returns ``self``.
+        """Compile every guard, update and constraint into its plan now; returns ``self``.
 
         Plans are otherwise compiled on first use.  Call this before
         forking workers, so they inherit the plans instead of each
@@ -121,6 +121,7 @@ class DMS:
         """
         for action in self.actions:
             action.guard_plan()
+            action.update_plan()
         self.constraints.plans(self.schema)
         return self
 

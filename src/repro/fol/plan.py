@@ -14,7 +14,10 @@ domain.  :func:`compile_query` compiles a query once into a
 * once every answer variable is bound, the rest of the join only has to
   succeed once, so it stops at its first solution;
 * a variable that no positive atom binds ranges over the domain if it is
-  an answer variable, or over ``adom(I)`` if it is quantified.
+  an answer variable, or over ``adom(I)`` if it is quantified;
+* a plan records the relations of the positive atoms of its top
+  conjunction (∃ folded in), and answers nothing without building its
+  environment when one of them has no rows.
 
 ``∀x.Q`` is ``¬∃x.¬Q``, with the negation pushed through ``¬``, ``⇒``
 and ``∨`` so that the body's atoms stay scannable.  Every quantifier
@@ -76,18 +79,30 @@ class QueryPlan:
     Attributes:
         query: the compiled query.
         variables: the answer variables, in the order answer tuples use.
+        required: the relations the top conjunction scans; the query has
+            no answer while one of them has no rows.
     """
 
-    __slots__ = ("query", "variables", "_run", "_size", "_order")
+    __slots__ = ("query", "variables", "required", "_run", "_size", "_order")
 
     def __init__(
-        self, query: Query, variables: tuple[str, ...], run: Step, size: int
+        self,
+        query: Query,
+        variables: tuple[str, ...],
+        run: Step,
+        size: int,
+        required: frozenset,
     ) -> None:
         self.query = query
         self.variables = variables
+        self.required = required
         self._run = run
         self._size = size
         self._order = tuple(sorted(range(len(variables)), key=variables.__getitem__))
+
+    def can_answer(self, instance: DatabaseInstance) -> bool:
+        """False when a relation in :attr:`required` has no rows in ``instance``."""
+        return instance.rows_by_relation().keys() >= self.required
 
     def _env(self, instance: DatabaseInstance) -> list:
         env = [None] * self._size
@@ -104,6 +119,8 @@ class QueryPlan:
         values aligned with :attr:`variables`; the list is in the order
         :func:`~repro.fol.evaluator.iter_answers` yields the same answers.
         """
+        if not self.can_answer(instance):
+            return []
         env = self._env(instance)
         if domain is None:
             domain = env[_ADOM]
@@ -124,7 +141,7 @@ class QueryPlan:
         """``I ⊨ Q`` for a plan compiled without answer variables."""
         if self.variables:
             raise QueryError(f"{self.query} has answer variables; use answers()")
-        return self._run(self._env(instance))
+        return self.can_answer(instance) and self._run(self._env(instance))
 
     def __repr__(self) -> str:
         return f"QueryPlan({self.query}, variables={list(self.variables)})"
@@ -150,7 +167,9 @@ def compile_query(query: Query, schema: Schema, variables: Iterable[str] = ()) -
         run = compiler.join(root, frozenset(), targets, _recorder(targets))
     else:
         run = compiler.check(root, frozenset())
-    return QueryPlan(query, names, run, compiler.size)
+    parts, _ = _flatten(root)
+    required = frozenset(part[2] for part in parts if part[0] == "atom")
+    return QueryPlan(query, names, run, compiler.size, required)
 
 
 class _Compiler:

@@ -25,9 +25,9 @@ from repro.database.substitution import Substitution
 from repro.dms.action import Action
 from repro.dms.configuration import Configuration
 from repro.dms.run import ExtendedRun, Run, Step
-from repro.dms.semantics import apply_action, is_instantiating_substitution
+from repro.dms.semantics import is_instantiating_substitution
 from repro.dms.system import DMS
-from repro.errors import ExecutionError, RecencyError
+from repro.errors import ExecutionError, RecencyError, SchemaError
 from repro.recency.recent import recent_elements
 from repro.recency.sequence import SequenceNumbering
 
@@ -61,6 +61,19 @@ class RecencyConfiguration:
             raise RecencyError(
                 f"history values without a sequence number: {sorted(map(str, missing))}"
             )
+
+    @classmethod
+    def _trusted(
+        cls, instance: DatabaseInstance, history: frozenset, seq_no: SequenceNumbering
+    ) -> "RecencyConfiguration":
+        """A configuration from parts that already fit: ``__post_init__`` is skipped.
+
+        For successors only, whose ``seq_no'`` extends a numbering of
+        ``H`` by exactly the fresh values ``H' \\ H``.
+        """
+        configuration = object.__new__(cls)
+        configuration.__dict__.update(instance=instance, history=history, seq_no=seq_no)
+        return configuration
 
     @property
     def active_domain(self) -> frozenset:
@@ -235,21 +248,30 @@ def apply_action_b_bounded(
 
     The sequence numbering is extended so that the fresh values receive
     increasing numbers, larger than every number used so far, in the order
-    of ``α·new`` (conditions 3–4).
+    of ``α·new`` (conditions 3–4).  ``check`` validates ``σ`` first
+    (:func:`is_b_bounded_substitution`); the successor itself is built
+    from the action's compiled update, like every explored successor.
     """
     if check and not is_b_bounded_substitution(action, configuration, sigma, bound):
         raise ExecutionError(
             f"{dict(sigma)!r} is not a {bound}-bounded instantiating substitution "
             f"for {action.name}"
         )
-    plain_successor = apply_action(action, configuration.plain(), sigma, check=False)
-    fresh_values = [sigma[v] for v in action.fresh]
-    seq_no = configuration.seq_no.extend_with(fresh_values)
-    return RecencyConfiguration(
-        instance=plain_successor.instance,
-        history=plain_successor.history,
-        seq_no=seq_no,
+    substitution = Substitution(dict(sigma))
+    values = tuple(substitution[variable] for variable in action.all_variables)
+    instance = configuration.instance
+    _require_schema(action, instance)
+    fresh_values = values[len(action.parameters):]
+    return RecencyConfiguration._trusted(
+        action.updated_instance(instance, values),
+        configuration.history | frozenset(fresh_values),
+        configuration.seq_no.extend_with(fresh_values),
     )
+
+
+def _require_schema(action: Action, instance: DatabaseInstance) -> None:
+    if action.schema is not instance.schema and action.schema != instance.schema:
+        raise SchemaError("database algebra requires both instances over the same schema")
 
 
 def enumerate_b_bounded_successors(
@@ -264,26 +286,56 @@ def enumerate_b_bounded_successors(
     each guard is answered by its compiled join plan
     (:meth:`~repro.dms.action.Action.guard_plan`), whose scans bind a
     parameter only to a recent value.  Fresh values are the least unused
-    standard names, allocated once per configuration; each action takes
-    the prefix it needs.  With ``bound=None`` the steps are those of
+    standard names; each action takes the prefix it needs.  An action
+    whose guard scans a relation without rows is skipped before its plan
+    runs (:attr:`~repro.fol.plan.QueryPlan.required`).  With
+    ``bound=None`` the steps are those of
     :func:`repro.dms.semantics.enumerate_successors`, in the same order,
     with sequence numbers attached.
+
+    Successors are built from validated parts without checking them
+    again: the action's compiled update
+    (:meth:`~repro.dms.action.Action.updated_instance`), and ``H'`` and
+    ``seq_no'``, built once per fresh count and shared by every
+    successor that adds that many values.  Nothing outlives the call.
     """
     chosen = tuple(actions) if actions is not None else system.actions
     instance = configuration.instance
+    relations = instance.rows_by_relation().keys()
     recent = configuration.recent(bound)
-    fresh_names = FreshValueAllocator(used=configuration.history).fresh_many(
-        max((len(action.fresh) for action in chosen), default=0)
-    )
+    constraints = system.constraints
+    fresh_names: tuple = ()
+    extensions = {0: (configuration.history, configuration.seq_no)}
     for action in chosen:
-        fresh = dict(zip(action.fresh, fresh_names))
-        for values in action.guard_plan().answers(instance, recent):
-            sigma = Substitution(dict(zip(action.parameters, values)) | fresh)
-            target = apply_action_b_bounded(action, configuration, sigma, bound, check=False)
-            if system.constraints and not system.constraints.satisfied_by(target.instance):
+        plan = action.guard_plan()
+        if not relations >= plan.required:
+            continue
+        answers = plan.answers(instance, recent)
+        if not answers:
+            continue
+        _require_schema(action, instance)
+        count = len(action.fresh)
+        if count > len(fresh_names):
+            fresh_names = FreshValueAllocator(used=configuration.history).fresh_many(
+                max(len(other.fresh) for other in chosen)
+            )
+        fresh_values = fresh_names[:count]
+        if count not in extensions:
+            extensions[count] = (
+                configuration.history | frozenset(fresh_values),
+                configuration.seq_no.extend_with(fresh_values),
+            )
+        history, seq_no = extensions[count]
+        fresh = dict(zip(action.fresh, fresh_values))
+        for values in answers:
+            target = action.updated_instance(instance, values + fresh_values)
+            if constraints and not constraints.satisfied_by(target):
                 continue
             yield RecencyStep(
-                source=configuration, action=action, substitution=sigma, target=target
+                source=configuration,
+                action=action,
+                substitution=Substitution(dict(zip(action.parameters, values)) | fresh),
+                target=RecencyConfiguration._trusted(target, history, seq_no),
             )
 
 

@@ -86,7 +86,9 @@ class SequenceNumbering(Mapping[Value, int]):
 
         The fresh values receive numbers strictly larger than every number
         already assigned, in the order in which they are listed (condition
-        4 of the b-bounded semantics).
+        4 of the b-bounded semantics).  The result is injective by
+        construction, so injectivity is not checked again; a value that
+        already has a number still raises.
         """
         mapping = dict(self._mapping)
         next_number = self.highest() + 1
@@ -95,7 +97,10 @@ class SequenceNumbering(Mapping[Value, int]):
                 raise RecencyError(f"value {value!r} already has a sequence number")
             mapping[value] = next_number
             next_number += 1
-        return SequenceNumbering(mapping)
+        extended = object.__new__(SequenceNumbering)
+        extended._mapping = mapping
+        extended._hash = hash(frozenset(mapping.items()))
+        return extended
 
     def restrict(self, values: Iterable[Value]) -> "SequenceNumbering":
         """The restriction of the numbering to ``values``."""

@@ -76,6 +76,29 @@ CREATE INDEX IF NOT EXISTS entries_family
 """
 
 
+#: Seconds a connection waits for another process's lock.
+_BUSY_TIMEOUT = 30.0
+
+
+def _enable_wal(connection: sqlite3.Connection) -> None:
+    """Switch the index to write-ahead logging, waiting out other writers.
+
+    The mode is kept in the file, so only the first opening of a fresh
+    index switches it.  That switch needs the file to itself, and SQLite
+    reports a lock held by another connection at once instead of calling
+    the busy handler, so it is retried here within the busy timeout.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT
+    while True:
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.005)
+
+
 class ResultStore:
     """A content-addressed store of exploration results and subgraphs.
 
@@ -151,13 +174,13 @@ class ResultStore:
         if connection is not None:
             return connection
         self._root.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(self._root / "index.sqlite", timeout=30.0)
+        connection = sqlite3.connect(self._root / "index.sqlite", timeout=_BUSY_TIMEOUT)
         # A write-ahead log synced only at checkpoints: a commit (every
         # save, and every hit's count) waits for no fsync, which on a
         # busy shared disk can take tens of milliseconds.  The index
         # stays consistent through any crash; a power loss can only drop
         # the last commits, and their points are recomputed like a miss.
-        connection.execute("PRAGMA journal_mode=WAL")
+        _enable_wal(connection)
         connection.execute("PRAGMA synchronous=NORMAL")
         connection.executescript(_SCHEMA)
         connection.commit()

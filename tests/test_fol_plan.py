@@ -283,12 +283,42 @@ def _outcome(system, condition, bound):
 def test_compiled_system_pickles_and_explores_the_same_graph():
     system = booking_agency_system().compile_plans()
     assert all("_guard_plan" in action.__dict__ for action in system.actions)
+    assert all("_update_plan" in action.__dict__ for action in system.actions)
     clone = pickle.loads(pickle.dumps(system))
+    assert clone == system
     assert clone.actions == system.actions
     assert not any("_guard_plan" in action.__dict__ for action in clone.actions)
+    assert not any("_update_plan" in action.__dict__ for action in clone.actions)
     condition = parse_query("Exists x. BDrafting(x)")
     for bound in (2, None):
         assert _outcome(clone, condition, bound) == _outcome(system, condition, bound)
+
+
+def test_constraint_sets_compare_by_their_sentences():
+    assert booking_agency_system() == booking_agency_system()
+    assert hash(booking_agency_system()) == hash(booking_agency_system())
+    constraints = ConstraintSet([parse_query("forall x. (Q(x) -> !R(x))")])
+    same = ConstraintSet([parse_query("forall x. (Q(x) -> !R(x))")])
+    system = example_31_system().with_constraints(constraints).compile_plans()
+    assert constraints == same and hash(constraints) == hash(same)
+    clone = pickle.loads(pickle.dumps(system))
+    assert clone == system and hash(clone) == hash(system)
+    assert clone.constraints == constraints
+    other = ConstraintSet([parse_query("forall x. (R(x) -> !Q(x))")])
+    assert constraints != other
+    assert system != example_31_system().with_constraints(other)
+    assert constraints != ConstraintSet.empty()
+
+
+def test_plans_skip_a_relation_without_rows():
+    plan = compile_query(parse_query("exists x. (E(x) & S(x, u)) & R(u)"), SCHEMA, ("u",))
+    assert plan.required == frozenset({"E", "R", "S"})
+    assert not plan.can_answer(INSTANCE)
+    assert plan.answers(INSTANCE) == []
+    negated = compile_query(parse_query("!E(u) & R(u)"), SCHEMA, ("u",))
+    assert negated.required == frozenset({"R"})
+    assert negated.answers(INSTANCE) == [("e1",), ("e2",)]
+    assert not compile_query(parse_query("exists x. E(x)"), SCHEMA).holds(INSTANCE)
 
 
 def test_constraint_plans_never_pickle():

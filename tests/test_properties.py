@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExplorationOptions, run_reachability
+from repro.casestudies.booking import booking_agency_system
 from repro.casestudies.simple import example_31_system
 from repro.casestudies.warehouse import warehouse_system
 from repro.database.instance import DatabaseInstance, Fact
 from repro.database.schema import Schema
 from repro.database.substitution import Substitution
 from repro.dms.builder import DMSBuilder
-from repro.dms.semantics import enumerate_successors
+from repro.dms.semantics import apply_action, enumerate_successors
 from repro.encoding.analyzer import EncodingAnalyzer
 from repro.encoding.encoder import encode_run
 from repro.fol.evaluator import evaluate_sentence
@@ -25,7 +27,11 @@ from repro.recency.concretize import concretize_word
 from repro.fuzz import FuzzShape, generate_instance
 from repro.modelcheck.result import Verdict
 from repro.recency.explorer import RecencyExplorer, iterate_b_bounded_runs
-from repro.recency.semantics import enumerate_b_bounded_successors
+from repro.recency.semantics import (
+    RecencyConfiguration,
+    apply_action_b_bounded,
+    enumerate_b_bounded_successors,
+)
 from repro.recency.sequence import SequenceNumbering
 from repro.search import ExplorationOptions, InternTable
 from repro.transforms.constants import remove_constants
@@ -315,7 +321,7 @@ def test_unbounded_successors_match_the_reference_under_weakened_freshness():
     _assert_unbounded_successors_match_reference(weaken_freshness(example_31_system()), 2)
 
 
-def test_unbounded_successors_match_the_reference_without_constants():
+def _system_without_constants():
     builder = DMSBuilder("with-constants")
     builder.relations(("R", 2), ("Q", 1), ("start", 0))
     builder.initially("start")
@@ -324,10 +330,70 @@ def test_unbounded_successors_match_the_reference_without_constants():
         "grow", parameters=("u",), fresh=("v",), guard="exists w. R(u, w)", add=[("R", "v", "u")]
     )
     builder.action("touch", parameters=("u",), guard="exists w. R(u, w)", add=[("Q", "u")])
-    system = remove_constants(builder.build(require_empty_initial_adom=False), ("c1", "c2"))
-    _assert_unbounded_successors_match_reference(system, 3)
+    return remove_constants(builder.build(require_empty_initial_adom=False), ("c1", "c2"))
+
+
+def test_unbounded_successors_match_the_reference_without_constants():
+    _assert_unbounded_successors_match_reference(_system_without_constants(), 3)
 
 
 def test_unbounded_successors_match_the_reference_under_bulk_compilation():
     # Depth 8 reaches every protocol action, Finalize included.
     _assert_unbounded_successors_match_reference(warehouse_system(), 8)
+
+
+# ---------------------------------------------------------------------------
+# Trusted successors: every explored successor equals a validating build
+# ---------------------------------------------------------------------------
+
+
+def _assert_trusted_successors_match_validation(system, bound, depth):
+    """Each successor equals the checked step and a rebuild through the public constructors.
+
+    The rebuild takes ``I'`` and ``H'`` from the Section 3 reference
+    (``apply_action`` with every check on) and numbers the fresh values
+    above the highest number, in the order of ``α·new``.
+    """
+    explored = RecencyExplorer(
+        system, bound, ExplorationOptions(max_depth=depth, retention="full")
+    ).explore()
+    for configuration in explored.configurations:
+        for step in enumerate_b_bounded_successors(system, configuration, bound):
+            action, sigma, target = step.action, step.substitution, step.target
+            reference = apply_action(action, configuration.plain(), sigma)
+            top = max(configuration.seq_no.values(), default=0)
+            numbers = configuration.seq_no.as_dict() | {
+                sigma[variable]: top + index for index, variable in enumerate(action.fresh, 1)
+            }
+            rebuilt = RecencyConfiguration(
+                DatabaseInstance(system.schema, reference.instance.facts),
+                reference.history,
+                SequenceNumbering(numbers),
+            )
+            checked = apply_action_b_bounded(action, configuration, sigma, bound, check=True)
+            for other in (rebuilt, checked):
+                assert target == other and hash(target) == hash(other)
+                assert hash(target.instance) == hash(other.instance)
+                assert target.instance.rows_by_relation() == other.instance.rows_by_relation()
+                assert target.instance.active_domain() == other.instance.active_domain()
+                assert list(target.seq_no.items()) == list(other.seq_no.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), _FUZZ_SHAPES)
+@example(7, FuzzShape(relations=2, max_arity=2, actions=3, constraint_density=0.5, depth=3))
+def test_trusted_successors_match_a_validating_build(seed, shape):
+    instance = generate_instance(seed, "smoke", shape=shape)
+    for bound in (0, instance.bound, None):
+        _assert_trusted_successors_match_validation(instance.system, bound, instance.depth + 1)
+
+
+@pytest.mark.parametrize("bound,depth", [(2, 4), (3, 4), (None, 3)])
+def test_trusted_successors_match_a_validating_build_on_booking(bound, depth):
+    _assert_trusted_successors_match_validation(booking_agency_system(), bound, depth)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, None])
+def test_trusted_successors_match_a_validating_build_on_relaxed_systems(bound):
+    _assert_trusted_successors_match_validation(weaken_freshness(example_31_system()), bound, 2)
+    _assert_trusted_successors_match_validation(_system_without_constants(), bound, 3)

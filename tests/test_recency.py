@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.api import ExplorationOptions, run_reachability
+from repro.casestudies.booking import booking_agency_system
+from repro.database.instance import DatabaseInstance
+from repro.database.schema import Schema
 from repro.errors import ExecutionError, RecencyError
+from repro.fol.parser import parse_query
 from repro.recency.recent import element_at_recency_index, recency_index, recent_elements
 from repro.recency.semantics import (
+    RecencyConfiguration,
     apply_action_b_bounded,
     enumerate_b_bounded_successors,
     execute_b_bounded_labels,
@@ -117,3 +123,43 @@ def test_bounded_run_prefix_structure(example31, figure1_labels):
 def test_configuration_canonicity(example31, figure1_labels):
     run = execute_b_bounded_labels(example31, figure1_labels, bound=2)
     assert all(configuration.is_canonical() for configuration in run.configurations())
+
+
+# -- trusted successors: a count gate ------------------------------------------------
+
+
+def _validations(monkeypatch, system, depth: int) -> tuple[int, dict]:
+    """States explored and validating calls made by booking at b=2 up to ``depth``."""
+    counts = {}
+
+    def count(owner, name: str) -> None:
+        original = owner.__dict__[name]
+        counts[f"{owner.__name__}.{name}"] = 0
+
+        def counted(*args, **kwargs):
+            counts[f"{owner.__name__}.{name}"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(DatabaseInstance, "__init__")
+    count(Schema, "check_atom")
+    count(SequenceNumbering, "__init__")
+    count(RecencyConfiguration, "__post_init__")
+    try:
+        result = run_reachability(
+            system, parse_query("Exists x. BAccepted(x)"), bound=2,
+            options=ExplorationOptions(max_depth=depth), store=False,
+        )
+    finally:
+        monkeypatch.undo()
+    return result.configurations_explored, counts
+
+
+def test_successors_are_built_without_validating_again(monkeypatch):
+    """Validation happens at the edges: the counts do not grow with the graph."""
+    system = booking_agency_system().compile_plans()
+    shallow_states, shallow = _validations(monkeypatch, system, 3)
+    deep_states, deep = _validations(monkeypatch, system, 5)
+    assert (shallow_states, deep_states) == (42, 448)
+    assert deep == shallow

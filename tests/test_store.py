@@ -20,9 +20,13 @@ Covers the store contracts end to end:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import sqlite3
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -417,3 +421,66 @@ def test_store_survives_pickling_as_a_path_holder(tmp_path):
     clone = pickle.loads(pickle.dumps(store))
     assert clone.root == store.root
     assert clone.stats()["entries"] == 0  # the clone opens its own connection
+
+
+# -- opening one fresh index from many connections ------------------------------------
+
+
+def test_first_open_waits_out_a_writer_on_a_fresh_index(tmp_path):
+    """Switching a fresh index to WAL waits for another connection's write lock."""
+    locked = threading.Event()
+
+    def hold_the_write_lock():
+        connection = sqlite3.connect(tmp_path / "index.sqlite", isolation_level=None)
+        connection.execute("BEGIN IMMEDIATE")
+        locked.set()
+        time.sleep(0.5)
+        connection.execute("COMMIT")
+        connection.close()
+
+    holder = threading.Thread(target=hold_the_write_lock)
+    holder.start()
+    try:
+        assert locked.wait(timeout=10)
+        started = time.monotonic()
+        assert ResultStore(tmp_path).load("0" * 64, "result") is None
+        assert time.monotonic() - started > 0.2
+    finally:
+        holder.join(timeout=10)
+    assert not holder.is_alive()
+
+
+def _open_after_barrier(root, barrier, outcomes) -> None:
+    try:
+        barrier.wait(timeout=30)
+        store = ResultStore(root)
+        assert store.load("0" * 64, "result") is None
+        store.close()
+        outcomes.put("ok")
+    except Exception as error:  # reported to the parent, which asserts on it
+        outcomes.put(repr(error))
+
+
+def test_processes_opening_one_fresh_store_at_once_all_succeed(tmp_path):
+    context = multiprocessing.get_context("fork")
+    count = (os.cpu_count() or 1) + 2
+    for round_number in range(10):
+        barrier, outcomes = context.Barrier(count), context.Queue()
+        processes = [
+            context.Process(
+                target=_open_after_barrier, args=(tmp_path / f"s{round_number}", barrier, outcomes)
+            )
+            for _ in range(count)
+        ]
+        for process in processes:
+            process.start()
+        try:
+            results = [outcomes.get(timeout=60) for _ in processes]
+        finally:
+            for process in processes:
+                process.join(timeout=60)
+                if process.is_alive():
+                    process.kill()
+                    process.join(timeout=10)
+        assert results == ["ok"] * count, results
+        assert all(process.exitcode == 0 for process in processes)
