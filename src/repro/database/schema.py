@@ -7,6 +7,7 @@ propositions.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -54,7 +55,7 @@ class Schema:
         1
     """
 
-    __slots__ = ("_relations", "_by_name", "_hash")
+    __slots__ = ("_relations", "_by_name", "_pairs", "_hash", "__weakref__")
 
     def __init__(self, relations: Iterable[RelationSymbol]) -> None:
         rels = tuple(sorted(set(relations)))
@@ -68,12 +69,16 @@ class Schema:
             by_name[rel.name] = rel
         self._relations = rels
         self._by_name = by_name
+        self._pairs = tuple((rel.name, rel.arity) for rel in rels)
         self._hash = hash(rels)
+        _SCHEMAS[self._pairs] = self
 
-    # Never ship the randomisation-salted hash cache in a pickle.
-    def __getstate__(self) -> tuple:
-        return (self._relations,)
+    # A schema pickles as its (name, arity) pairs, never with the
+    # randomisation-salted hash cache; see schema_from_pairs.
+    def __reduce__(self) -> tuple:
+        return (schema_from_pairs, (self._pairs,))
 
+    # Pickles written before schemas pickled as pairs carry the symbols.
     def __setstate__(self, state: tuple) -> None:
         self.__init__(state[0])
 
@@ -180,9 +185,11 @@ class Schema:
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Schema):
             return NotImplemented
-        return self._relations == other._relations
+        return self._hash == other._hash and self._pairs == other._pairs
 
     def __hash__(self) -> int:
         return self._hash
@@ -192,3 +199,25 @@ class Schema:
         return f"Schema({{{body}}})"
 
     __str__ = __repr__
+
+
+# A schema this process holds for each sorted tuple of (name, arity)
+# pairs: the one built last, so a system built after its queries is the
+# one its decoded states share.
+_SCHEMAS: "weakref.WeakValueDictionary[tuple, Schema]" = weakref.WeakValueDictionary()
+
+
+def schema_from_pairs(pairs: tuple) -> Schema:
+    """The schema of the ``(name, arity)`` pairs: one this process holds, if any.
+
+    The constructor every pickled :class:`Schema` names, so its import
+    path (``repro.database.schema.schema_from_pairs``) is part of the
+    stored format of result-store blobs: renaming or moving it makes
+    every stored blob fail to load.  A decoded state thereby shares the
+    schema its system already holds, which is then neither sorted nor
+    validated again, and compares equal by identity.
+    """
+    schema = _SCHEMAS.get(pairs)
+    if schema is None:
+        schema = Schema(RelationSymbol(name, arity) for name, arity in pairs)
+    return schema

@@ -47,7 +47,8 @@ __all__ = [
     "PROTOCOL_VERSION",
 ]
 
-PROTOCOL_VERSION = 2
+# 3: database instances pickle as their {relation: rows} index.
+PROTOCOL_VERSION = 3
 
 # A corrupt length prefix must not trigger a huge allocation; real level
 # frames on the case studies are a few MB at most.

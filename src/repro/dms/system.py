@@ -7,6 +7,7 @@ an initial database instance and a finite set of guarded actions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.database.constraints import ConstraintSet
@@ -102,9 +103,9 @@ class DMS:
     def __len__(self) -> int:
         return len(self.actions)
 
-    @property
+    @cached_property
     def max_fresh(self) -> int:
-        """``η = max_α |α·new|`` — used by the encoding's visible alphabet."""
+        """``η = max_α |α·new|``, for the encoding's visible alphabet and fresh names."""
         return max((len(action.fresh) for action in self.actions), default=0)
 
     @property

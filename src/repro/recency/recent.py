@@ -33,10 +33,7 @@ def recent_elements(
     missing = [value for value in adom if value not in seq_no]
     if missing:
         raise RecencyError(f"active elements without sequence number: {sorted(map(str, missing))}")
-    if bound is None:
-        return adom
-    ordered = sorted(adom, key=lambda value: -seq_no[value])
-    return frozenset(ordered[:bound])
+    return seq_no.most_recent(adom, bound)
 
 
 def recency_index(

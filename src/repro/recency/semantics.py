@@ -49,7 +49,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RecencyConfiguration:
-    """A configuration ``⟨I, H, seq_no⟩`` of the b-bounded graph ``C_S^b``."""
+    """A configuration ``⟨I, H, seq_no⟩`` of the b-bounded graph ``C_S^b``.
+
+    ``seq_no`` numbers every value of ``H`` and of ``adom(I)``; building
+    a configuration checks both.
+    """
 
     instance: DatabaseInstance
     history: frozenset
@@ -60,6 +64,11 @@ class RecencyConfiguration:
         if missing:
             raise RecencyError(
                 f"history values without a sequence number: {sorted(map(str, missing))}"
+            )
+        missing = [value for value in self.instance.active_domain() if value not in self.seq_no]
+        if missing:
+            raise RecencyError(
+                f"active elements without sequence number: {sorted(map(str, missing))}"
             )
 
     @classmethod
@@ -293,16 +302,24 @@ def enumerate_b_bounded_successors(
     :func:`repro.dms.semantics.enumerate_successors`, in the same order,
     with sequence numbers attached.
 
-    Successors are built from validated parts without checking them
-    again: the action's compiled update
+    ``Recent_b`` is read straight from ``seq_no``, which numbers all of
+    ``adom(I)`` in every configuration (:class:`RecencyConfiguration`
+    checks it when built).  Successors are built from validated parts
+    without checking them again: the action's compiled update
     (:meth:`~repro.dms.action.Action.updated_instance`), and ``H'`` and
     ``seq_no'``, built once per fresh count and shared by every
     successor that adds that many values.  Nothing outlives the call.
     """
-    chosen = tuple(actions) if actions is not None else system.actions
+    if actions is None:
+        chosen, most_fresh = system.actions, system.max_fresh
+    else:
+        chosen = tuple(actions)
+        most_fresh = max((len(action.fresh) for action in chosen), default=0)
+    if bound is not None and bound < 0:
+        raise RecencyError(f"recency bound must be non-negative, got {bound}")
     instance = configuration.instance
     relations = instance.rows_by_relation().keys()
-    recent = configuration.recent(bound)
+    recent = configuration.seq_no.most_recent(instance.active_domain(), bound)
     constraints = system.constraints
     fresh_names: tuple = ()
     extensions = {0: (configuration.history, configuration.seq_no)}
@@ -316,9 +333,7 @@ def enumerate_b_bounded_successors(
         _require_schema(action, instance)
         count = len(action.fresh)
         if count > len(fresh_names):
-            fresh_names = FreshValueAllocator(used=configuration.history).fresh_many(
-                max(len(other.fresh) for other in chosen)
-            )
+            fresh_names = FreshValueAllocator(used=configuration.history).fresh_many(most_fresh)
         fresh_values = fresh_names[:count]
         if count not in extensions:
             extensions[count] = (

@@ -8,7 +8,7 @@ from data values to natural numbers.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from repro.database.domain import Value, standard_index
 from repro.errors import RecencyError
@@ -108,6 +108,16 @@ class SequenceNumbering(Mapping[Value, int]):
         return SequenceNumbering(
             {value: number for value, number in self._mapping.items() if value in wanted}
         )
+
+    def most_recent(self, values: Collection[Value], count: int | None) -> frozenset:
+        """The ``count`` values of ``values`` with the largest numbers (all for ``None``).
+
+        Every value must have a number; a missing one raises ``KeyError``
+        (callers check that when the values are first numbered).
+        """
+        if count is None or len(values) <= count:
+            return frozenset(values)
+        return frozenset(sorted(values, key=self._mapping.__getitem__, reverse=True)[:count])
 
     def order_recent_first(self, values: Iterable[Value]) -> tuple:
         """Sort ``values`` by decreasing sequence number (most recent first)."""

@@ -14,11 +14,12 @@ so a lookup is one indexed ``SELECT`` plus one file read: repeat
 queries are served in O(lookup), independent of exploration cost.
 
 Self-repair: a stale index row whose blob is missing, or a blob that no
-longer unpickles (corrupt, truncated, written by an incompatible
-version), is treated as a **miss** — the row and blob are deleted and
-the caller simply recomputes and re-saves.  Blobs are written to a
-temporary file and atomically renamed, so a killed writer can leave a
-stale temp file at worst, never a half-written blob under a live key.
+longer unpickles or whose objects reject their own state (corrupt,
+truncated, written by an incompatible version), is treated as a
+**miss** — the row and blob are deleted and the caller simply
+recomputes and re-saves.  Blobs are written to a temporary file and
+atomically renamed, so a killed writer can leave a stale temp file at
+worst, never a half-written blob under a live key.
 
 Concurrency: the store is safe to share across forked sweep workers.
 Connections are opened lazily **per process** (a
@@ -46,7 +47,7 @@ import sqlite3
 import time
 from pathlib import Path
 
-from repro.errors import StoreError
+from repro.errors import ReproError, StoreError
 from repro.obs.metrics import resolve_metrics
 
 __all__ = ["KIND_RESULT", "KIND_SUBGRAPH", "ResultStore"]
@@ -258,10 +259,13 @@ class ResultStore:
 
         A stale row (missing blob) or a corrupt blob is self-repaired:
         the entry is discarded and the lookup reports a miss, so the
-        caller recomputes and re-saves.  Hits are counted — persistently
-        per entry, and per kind in the session counters (``kind`` labels
-        a miss that has no row to read the kind from; a present row's
-        own kind wins).
+        caller recomputes and re-saves.  A blob is corrupt when it does
+        not unpickle, or when an object in it rejects its own pickled
+        state (a :class:`~repro.errors.ReproError` or ``TypeError``, such
+        as a stored state whose rows do not fit its schema).  Hits are
+        counted — persistently per entry, and per kind in the session
+        counters (``kind`` labels a miss that has no row to read the kind
+        from; a present row's own kind wins).
         """
         connection = self._connection()
         row = connection.execute("SELECT blob, kind FROM entries WHERE key = ?", (key,)).fetchone()
@@ -272,7 +276,7 @@ class ResultStore:
         try:
             payload = pickle.loads(blob_path.read_bytes())
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-                IndexError, MemoryError, ValueError):
+                IndexError, MemoryError, ValueError, TypeError, ReproError):
             self.discard(key)
             self._session_repairs += 1
             registry = resolve_metrics(None)

@@ -387,6 +387,21 @@ def test_external_coordinator_releases_between_different_contexts():
             agent.wait(timeout=10)
 
 
+def test_agent_speaking_an_older_protocol_is_refused_at_the_handshake():
+    # Protocol 2 pickled states as sets of facts: such a peer is refused
+    # before any lease, not halfway through one.
+    coordinator = Coordinator(("127.0.0.1", 0))
+    peer = socket.create_connection(coordinator.address)
+    try:
+        Channel(peer).send("hello", {"protocol": 2, "pid": os.getpid()})
+        with pytest.raises(DistributedError, match="handshake failed .* protocol 2"):
+            coordinator.accept_nodes(1, timeout=10)
+        assert coordinator.nodes == 0
+    finally:
+        peer.close()
+        coordinator.close()
+
+
 def test_lease_contexts_pickle_and_rebuild_successors():
     booking = booking_agency_system()
     context = pickle.loads(pickle.dumps(RecencyContext(booking, 2)))

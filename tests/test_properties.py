@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -377,6 +379,19 @@ def _assert_trusted_successors_match_validation(system, bound, depth):
                 assert target.instance.rows_by_relation() == other.instance.rows_by_relation()
                 assert target.instance.active_domain() == other.instance.active_domain()
                 assert list(target.seq_no.items()) == list(other.seq_no.items())
+            instance = target.instance
+            _assert_same_instance(instance, DatabaseInstance(system.schema, instance.facts))
+            _assert_same_instance(instance, pickle.loads(pickle.dumps(instance)))
+            loaded = pickle.loads(pickle.dumps(target))
+            assert loaded == target and hash(loaded) == hash(target)
+
+
+def _assert_same_instance(instance, other):
+    """``other`` equals ``instance`` in every view of it: index, facts, ``adom``, hash and size."""
+    assert instance == other and hash(instance) == hash(other)
+    assert len(instance) == len(other) and instance.facts == other.facts
+    assert instance.active_domain() == other.active_domain()
+    assert instance.rows_by_relation() == other.rows_by_relation()
 
 
 @settings(max_examples=40, deadline=None)

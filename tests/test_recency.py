@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.booking import booking_agency_system
-from repro.database.instance import DatabaseInstance
+from repro.database.instance import DatabaseInstance, Fact
 from repro.database.schema import Schema
 from repro.errors import ExecutionError, RecencyError
 from repro.fol.parser import parse_query
@@ -143,6 +143,7 @@ def _validations(monkeypatch, system, depth: int) -> tuple[int, dict]:
         monkeypatch.setattr(owner, name, counted)
 
     count(DatabaseInstance, "__init__")
+    count(Fact, "__init__")
     count(Schema, "check_atom")
     count(SequenceNumbering, "__init__")
     count(RecencyConfiguration, "__post_init__")
@@ -157,9 +158,13 @@ def _validations(monkeypatch, system, depth: int) -> tuple[int, dict]:
 
 
 def test_successors_are_built_without_validating_again(monkeypatch):
-    """Validation happens at the edges: the counts do not grow with the graph."""
+    """Validation happens at the edges: the counts do not grow with the graph.
+
+    Successors are built from rows, so no :class:`Fact` is built at all.
+    """
     system = booking_agency_system().compile_plans()
     shallow_states, shallow = _validations(monkeypatch, system, 3)
     deep_states, deep = _validations(monkeypatch, system, 5)
     assert (shallow_states, deep_states) == (42, 448)
     assert deep == shallow
+    assert deep["Fact.__init__"] == 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import sqlite3
 import subprocess
 import sys
@@ -33,6 +34,7 @@ import pytest
 
 from repro.api import ExplorationOptions, run_reachability
 from repro.casestudies.booking import booking_agency_system
+from repro.database.instance import DatabaseInstance, Fact
 from repro.dms.builder import DMSBuilder
 from repro.dms.configuration import Configuration
 from repro.dms.run import ExtendedRun
@@ -47,6 +49,7 @@ from repro.store import (
     ResultStore,
     StoreKeyError,
     action_hashes,
+    base_hash,
     cached_compute,
     digest,
     point_key,
@@ -175,19 +178,63 @@ def test_different_queries_never_share_a_key(cycle_system, tmp_path):
 # -- self-repair ---------------------------------------------------------------
 
 
-def test_corrupt_blob_is_recomputed_and_repaired(cycle_system, tmp_path):
+def _misfit_instance_blob(schema, monkeypatch) -> bytes:
+    """A well-formed pickle of an old-shape instance state whose fact does not fit ``schema``.
+
+    Instances pickled as ``(schema, frozenset of facts)`` before they
+    pickled as rows; the fact has one argument too many.
+    """
+    relation = schema.non_nullary[0]
+    misfit = Fact(relation.name, ("x",) * (relation.arity + 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(DatabaseInstance, "__getstate__", lambda self: (schema, frozenset([misfit])))
+        return pickle.dumps(DatabaseInstance.empty(schema))
+
+
+def test_corrupt_blob_is_recomputed_and_repaired(cycle_system, tmp_path, monkeypatch):
+    # Garbage that does not unpickle, and a pickle whose state its own
+    # validation rejects: both are repaired misses.
+    misfit = _misfit_instance_blob(cycle_system.schema, monkeypatch)
+    for number, corrupt in enumerate((b"not a pickle", misfit)):
+        store = ResultStore(tmp_path / f"store{number}")
+        cold = run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store)
+        blobs = sorted(store.blob_directory.glob("*.pkl"))
+        assert blobs
+        for blob in blobs:
+            blob.write_bytes(corrupt)
+        repaired = run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store)
+        assert repaired == cold  # recomputed, not served from garbage
+        assert store.session()["repairs"] == len(blobs)
+        # ... and re-saved: the next lookup is a genuine hit again.
+        hits_before = store.stats()["hits"]
+        assert run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store) == cold
+        assert store.stats()["hits"] == hits_before + 1
+
+
+# A booking result with a witness and its recorded subgraph, pickled by
+# the code before instances pickled as rows (instances as sets of facts,
+# schemas as relation symbols), the way the store writes its blobs.
+_PICKLED_AS_FACTS = Path(__file__).parent / "data" / "booking_pickled_as_facts.pkl"
+
+
+def test_payloads_pickled_as_facts_load_equal_to_a_fresh_computation(tmp_path):
+    stored_result, stored_subgraph = pickle.loads(_PICKLED_AS_FACTS.read_bytes())
+    system = booking_agency_system()
     store = ResultStore(tmp_path / "store")
-    cold = run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store)
-    blobs = sorted(store.blob_directory.glob("*.pkl"))
-    assert blobs
-    for blob in blobs:
-        blob.write_bytes(b"not a pickle")
-    repaired = run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store)
-    assert repaired == cold  # recomputed, not served from garbage
-    # ... and re-saved: the next lookup is a genuine hit again.
-    hits_before = store.stats()["hits"]
-    assert run_reachability(cycle_system, GOAL, options=DEPTH_4, store=store) == cold
-    assert store.stats()["hits"] == hits_before + 1
+    fresh = run_reachability(
+        system, parse_query("Exists x. BDrafting(x)"), bound=2,
+        options=ExplorationOptions(max_depth=5), store=store,
+    )
+    assert fresh.found and len(fresh.witness) == 5
+    assert stored_result == fresh
+    assert stored_result.witness.labels() == fresh.witness.labels()
+    fresh_subgraph = store.delta_base("recency:2", base_hash(system))
+    assert stored_subgraph.state_count == fresh_subgraph.state_count == 63
+    assert stored_subgraph == fresh_subgraph
+    # Loaded states hash as this interpreter hashes them.
+    assert {hash(state) for state in stored_subgraph.expansions} == {
+        hash(state) for state in fresh_subgraph.expansions
+    }
 
 
 def test_stale_index_row_with_missing_blob_is_a_pruned_miss(cycle_system, tmp_path):
