@@ -129,16 +129,43 @@ def run_reachability(
         A three-valued :class:`~repro.modelcheck.result.ReachabilityResult`;
         truncated explorations report ``UNKNOWN``, never ``FAILS``.
     """
-    options = options or ExplorationOptions()
+    return _run_reachability(
+        system, condition, bound=bound, options=options or ExplorationOptions(), pool=pool,
+        store=store, on_state=on_state,
+    )
+
+
+def _run_reachability(
+    system: DMS,
+    condition: Query | str,
+    *,
+    bound: int | None,
+    options: ExplorationOptions,
+    pool=None,
+    store=None,
+    on_state: Callable[[object, int], None] | None = None,
+    successors: Callable | None = None,
+) -> ReachabilityResult:
+    """:func:`run_reachability`, exploring through ``successors`` when given.
+
+    ``successors(configuration, actions=None)`` must yield exactly the
+    steps of :func:`~repro.recency.semantics.enumerate_b_bounded_successors`
+    at ``bound``, in the same order: a bound sweep passes the one it
+    serves from its labelled cache (:mod:`repro.modelcheck.convergence`).
+    Single-shard options only; the store's capture and delta wrap it
+    like the canonical function, so keys and entries do not change.
+    """
     check_condition(condition, system)
 
-    def compute(successors) -> ReachabilityResult:
+    def compute(recorder) -> ReachabilityResult:
         # Compiled only when exploring, not for a store hit; a guard or
         # constraint that does not fit the schema raises here, before
         # any state is explored.
         predicate = instance_predicate(condition, system)
         system.compile_plans()
-        explorer = RecencyExplorer(system, bound, options, pool=pool, successors=successors)
+        explorer = RecencyExplorer(
+            system, bound, options, pool=pool, successors=recorder or successors
+        )
         witness, stats = explorer.find_configuration(
             lambda configuration: predicate(configuration.instance), on_state
         )
@@ -157,7 +184,7 @@ def run_reachability(
             bound=bound,
         )
 
-    def successors(configuration, actions=None):
+    def canonical(configuration, actions=None):
         return enumerate_b_bounded_successors(system, configuration, bound, actions)
 
     result, _ = cached_compute(
@@ -172,7 +199,7 @@ def run_reachability(
             **options.result_fields(),
         },
         compute=compute,
-        successors=successors if options.single_shard else None,
+        successors=(successors or canonical) if options.single_shard else None,
         cacheable=options.heuristic is None,
     )
     return result

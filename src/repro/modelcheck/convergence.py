@@ -21,26 +21,50 @@ expansion workers to the explorations of a *sequential* sweep (a parent
 pool is never used from inside forked point workers).  Rows are
 identical regardless of parallelism or completion order.
 
+One expansion serves every bound.  ``Recent_b ⊆ Recent_{b+1}`` and no
+other edge condition mentions ``b`` (Section 5), so ``C_S^b`` is a
+subgraph of ``C_S^{b+1}`` and of the unbounded graph.  A step's *least
+bound* is the largest 1-based recency rank (position in ``adom(I)``
+ordered by decreasing ``seq_no``) among its parameter values, and 0 for
+an action without parameters: the step is a b-edge exactly when ``b`` is
+at least its label.  A sequential single-shard sweep therefore keeps one
+cache for the length of the call, mapping each configuration to its
+``[(least bound, step)]``, filled on demand at the sweep's largest bound
+(at ``None`` for :func:`convergence_bound`, whose unbounded reference
+runs first).  A bound ``b`` is served the steps labelled at most ``b``:
+exactly the direct enumeration at ``b``, in the same order.  A
+``parallel > 1`` or sharded sweep explores each point directly, since a
+forked point or a sharded engine cannot share the cache.
+
 Every sweep additionally accepts ``store=`` (a path, a
 :class:`repro.store.ResultStore`, ``False`` to disable; ``None``
 consults ``REPRO_STORE``): the content-addressed result store is the one
 memo of sweep points.  Repeat points are served in O(lookup) — across
 processes and sessions — with rows bit-identical to cold exploration,
 and re-running an interrupted sweep against the same store recomputes
-only the points it had not finished.  The store object is fork-safe, so
-``parallel > 1`` sweeps share one store across their point workers.
+only the points it had not finished.  The store's subgraph capture and
+delta verification wrap a point's labelled successor function as they
+wrap the canonical one, so keys and entries do not change, and a point
+served from the store expands nothing.  The store object is fork-safe,
+so ``parallel > 1`` sweeps share one store across their point workers.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.dms.system import DMS
 from repro.fol.syntax import Query
 from repro.modelcheck.result import Verdict
 from repro.recency.explorer import RecencyExplorer
-from repro.recency.semantics import enumerate_b_bounded_successors
+from repro.recency.semantics import (
+    RecencyConfiguration,
+    RecencyStep,
+    enumerate_b_bounded_successors,
+)
 from repro.runtime import SweepScheduler
 from repro.search import RETAIN_COUNTS, ExplorationOptions
 
@@ -62,6 +86,88 @@ class BoundSweepEntry:
     def as_row(self) -> tuple:
         """The row printed by the benchmark harness."""
         return (self.bound, self.verdict.value, self.configurations, self.edges)
+
+
+class _LabelledSuccessors:
+    """One sweep's expansions, each step labelled with its least bound (see module docs).
+
+    ``bound`` is the labelling bound: the sweep's largest, or ``None``.
+    """
+
+    def __init__(self, system: DMS, bound: int | None) -> None:
+        self._system = system
+        self._bound = bound
+        self._expansions: dict = {}
+
+    def labelled(self, configuration: RecencyConfiguration) -> list:
+        """``[(least bound, step)]`` of ``configuration``, expanded once at the labelling bound."""
+        labelled = self._expansions.get(configuration)
+        if labelled is None:
+            steps = list(enumerate_b_bounded_successors(self._system, configuration, self._bound))
+            ordered = configuration.seq_no.order_recent_first(configuration.active_domain)
+            rank = {value: index for index, value in enumerate(ordered, 1)}
+            labelled = self._expansions[configuration] = [
+                (_least_bound(step, rank), step) for step in steps
+            ]
+        return labelled
+
+    def successors(self, bound: int | None) -> Callable:
+        """The successor function ``(configuration, actions=None)`` of ``bound``.
+
+        ``actions`` is a subset of the system's actions, enumerated in
+        the given order.  A bound the labels do not cover (negative, or
+        above the labelling bound) is enumerated directly, so a negative
+        one raises at its first expansion as it always has.
+        """
+        system = self._system
+        covered = self._bound is None or (bound is not None and bound <= self._bound)
+        if not covered or (bound is not None and bound < 0):
+
+            def direct(configuration, actions=None):
+                return enumerate_b_bounded_successors(system, configuration, bound, actions)
+
+            return direct
+        limit = math.inf if bound is None else bound
+
+        def served(configuration, actions=None):
+            labelled = self.labelled(configuration)
+            if actions is None:
+                return [step for least, step in labelled if least <= limit]
+            return [
+                step
+                for action in actions
+                for least, step in labelled
+                if step.action is action and least <= limit
+            ]
+
+        return served
+
+
+def _least_bound(step: RecencyStep, rank: dict) -> int:
+    """The largest recency rank among ``step``'s parameter values (0 without parameters)."""
+    return max(
+        (rank[step.substitution[parameter]] for parameter in step.action.parameters), default=0
+    )
+
+
+def _sweep_successors(
+    system: DMS, bound: int | None, options: ExplorationOptions, parallel: int = 1
+) -> Callable:
+    """``point bound -> successor function`` of a sweep labelling at ``bound``.
+
+    Only a sequential single-shard sweep serves its points from one
+    :class:`_LabelledSuccessors`.  Elsewhere every point gets ``None``
+    and explores directly: a forked point cannot share the cache, and a
+    sharded exploration takes no successor override.
+    """
+    if parallel > 1 or not options.single_shard:
+        return lambda point: None
+    return _LabelledSuccessors(system, bound).successors
+
+
+def _largest(bounds: tuple) -> int | None:
+    """The labelling bound of a sweep over ``bounds``."""
+    return None if None in bounds else max(bounds, default=0)
 
 
 def _bound_rows(bounds, measure, parallel: int, on_point, store) -> tuple[BoundSweepEntry, ...]:
@@ -139,18 +245,23 @@ def reachability_bound_sweep(
     whose keys carry everything that determines a row (system content,
     condition, bound and result fields), never the execution shape.
     ``pool`` lends warm expansion workers to sequential sweeps only.
-    ``on_point`` streams each completed bound.
+    ``on_point`` streams each completed bound.  A sequential
+    single-shard sweep serves every bound from one labelled expansion
+    (see the module docs).
     """
-    from repro.api.query import run_reachability
+    from repro.api.query import _run_reachability
 
+    bounds = tuple(bounds)
     effective = (options or ExplorationOptions()).replace(max_depth=max_depth)
     exploration_pool = pool if parallel <= 1 else None
     exploration_store = _point_store(store)
+    served = _sweep_successors(system, _largest(bounds), effective, parallel)
 
     def measure(parameters: dict) -> dict:
-        result = run_reachability(
-            system, condition, bound=parameters["b"], options=effective,
-            pool=exploration_pool, store=exploration_store,
+        bound = parameters["b"]
+        result = _run_reachability(
+            system, condition, bound=bound, options=effective, pool=exploration_pool,
+            store=exploration_store, successors=served(bound),
         )
         return {
             "verdict": result.reachable.value,
@@ -184,21 +295,24 @@ def state_space_bound_sweep(
     """
     from repro.store.service import cached_compute
 
+    bounds = tuple(bounds)
     effective = (options or ExplorationOptions(retention=RETAIN_COUNTS)).replace(
         max_depth=max_depth
     )
     exploration_pool = pool if parallel <= 1 else None
     exploration_store = _point_store(store)
+    served = _sweep_successors(system, _largest(bounds), effective, parallel)
 
     def measure(parameters: dict) -> dict:
         bound = parameters["b"]
+        successors = served(bound)
 
-        def successors(configuration, actions=None):
+        def canonical(configuration, actions=None):
             return enumerate_b_bounded_successors(system, configuration, bound, actions)
 
-        def compute(override):
+        def compute(recorder):
             return RecencyExplorer(
-                system, bound, effective, pool=exploration_pool, successors=override
+                system, bound, effective, pool=exploration_pool, successors=recorder or successors
             ).explore()
 
         result, _ = cached_compute(
@@ -207,7 +321,7 @@ def state_space_bound_sweep(
             graph=f"recency:{bound}",
             parameters={"payload": "exploration", **effective.result_fields()},
             compute=compute,
-            successors=successors if effective.single_shard else None,
+            successors=(successors or canonical) if effective.single_shard else None,
             cacheable=effective.heuristic is None,
         )
         return {
@@ -237,15 +351,22 @@ def convergence_bound(
     runs with ``options.replace(max_depth=max_depth)``; ``pool`` keeps
     sharded expansion workers warm across the whole scan, and ``store``
     serves the scan's queries from the content-addressed result store.
+    Single-shard, the scan labels its expansions at ``None`` and serves
+    every bound from them (see the module docs).
     """
-    from repro.api.query import run_reachability
+    from repro.api.query import _run_reachability
 
     effective = (options or ExplorationOptions()).replace(max_depth=max_depth)
-    reference = run_reachability(system, condition, options=effective, pool=pool, store=store)
+    served = _sweep_successors(system, None, effective)
+
+    def verdict(bound: int | None) -> Verdict:
+        return _run_reachability(
+            system, condition, bound=bound, options=effective, pool=pool, store=store,
+            successors=served(bound),
+        ).reachable
+
+    reference = verdict(None)
     for bound in range(max_bound + 1):
-        bounded = run_reachability(
-            system, condition, bound=bound, options=effective, pool=pool, store=store
-        )
-        if bounded.reachable == reference.reachable:
+        if verdict(bound) == reference:
             return bound
     return None

@@ -101,8 +101,12 @@ class RecencyExplorer:
             hash and the bound, so explorers over equal systems — even
             distinct objects — share the same warm workers.
         successors: advanced — replace the canonical successor function
-            with a semantics-equivalent callable (the result store's
-            recording/delta wrappers, :mod:`repro.store.capture`).
+            with a semantics-equivalent callable: a bound sweep's
+            labelled function, which serves each bound from one cache of
+            steps labelled with their least recency bound
+            (:mod:`repro.modelcheck.convergence`), and the result
+            store's recording/delta wrappers around it or around the
+            canonical function (:mod:`repro.store.capture`).
             Single-shard in-process explorations only.
 
     The underlying engine is created once per explorer, so successive

@@ -1,10 +1,13 @@
 """Tests for reachability analysis and the recency-bounded model checker."""
 
+import sys
+
 import pytest
 
 from repro.api import ExplorationOptions, run_reachability
+from repro.casestudies.booking import booking_agency_system
 from repro.casestudies.students import students_progression_property, students_system
-from repro.errors import ModelCheckingError
+from repro.errors import ModelCheckingError, SchedulerError
 from repro.fol.parser import parse_query
 from repro.modelcheck.checker import RecencyBoundedModelChecker, check_recency_bounded
 from repro.modelcheck.convergence import (
@@ -16,6 +19,11 @@ from repro.modelcheck.result import Verdict
 from repro.msofo.foltl import Eventually, StateQuery
 from repro.msofo.patterns import proposition_reachability_formula, safety_formula
 from repro.dms.builder import DMSBuilder
+from repro.recency import semantics
+from repro.recency.explorer import RecencyExplorer
+from repro.search import RETAIN_COUNTS
+from repro.store import ResultStore, service
+from repro.workloads import drop_action_variant
 
 
 @pytest.fixture
@@ -148,3 +156,163 @@ def test_check_recency_bounded_function(flag_system):
         flag_system, proposition_reachability_formula("start"), bound=1, depth=2
     )
     assert result.verdict is not None
+
+
+# -- bound sweeps: edge cases and rows equal to direct exploration ------------------
+
+ACCEPTED = parse_query("Exists x. BAccepted(x)")
+
+
+def _direct_rows(system, condition, bounds, depth):
+    """Each bound explored on its own through :func:`run_reachability`."""
+    rows = []
+    for bound in bounds:
+        result = run_reachability(
+            system, condition, bound=bound, options=ExplorationOptions(max_depth=depth),
+            store=False,
+        )
+        rows.append(
+            (bound, result.reachable.value, result.configurations_explored, result.edges_explored)
+        )
+    return rows
+
+
+def _direct_sizes(system, bounds, depth):
+    """Each bound's state space explored on its own."""
+    rows = []
+    for bound in bounds:
+        explored = RecencyExplorer(
+            system, bound, ExplorationOptions(max_depth=depth, retention=RETAIN_COUNTS)
+        ).explore()
+        rows.append((bound, "unknown", explored.configuration_count, explored.edge_count))
+    return rows
+
+
+@pytest.mark.parametrize("bounds", [(-1,), (1, -1)])
+def test_sweeps_reject_a_negative_bound(bounds, tmp_path):
+    booking = booking_agency_system()
+    message = "recency bound must be non-negative, got -1"
+    for store in (False, ResultStore(tmp_path / "store")):
+        with pytest.raises(SchedulerError, match=message):
+            reachability_bound_sweep(booking, ACCEPTED, bounds, 3, store=store)
+        with pytest.raises(SchedulerError, match=message):
+            state_space_bound_sweep(booking, bounds, 3, store=store)
+
+
+def test_sweeps_over_no_bounds_return_no_rows():
+    booking = booking_agency_system()
+    assert reachability_bound_sweep(booking, ACCEPTED, (), 3, store=False) == ()
+    assert state_space_bound_sweep(booking, (), 3, store=False) == ()
+
+
+def test_unsorted_and_repeated_bounds_give_rows_in_order_equal_to_direct_exploration():
+    booking = booking_agency_system()
+    bounds = (3, 0, 2, 2, 1, 3)
+    rows = reachability_bound_sweep(booking, ACCEPTED, bounds, 5, store=False)
+    assert [entry.as_row() for entry in rows] == _direct_rows(booking, ACCEPTED, bounds, 5)
+    rows = state_space_bound_sweep(booking, bounds, 4, store=False)
+    assert [entry.as_row() for entry in rows] == _direct_sizes(booking, bounds, 4)
+
+
+def test_sharded_and_parallel_sweeps_give_the_sequential_rows(flag_system):
+    booking = booking_agency_system()
+    bounds = (0, 1, 2, 3)
+    sequential = reachability_bound_sweep(booking, ACCEPTED, bounds, 5, store=False)
+    assert [entry.as_row() for entry in sequential] == _direct_rows(booking, ACCEPTED, bounds, 5)
+    sharded = ExplorationOptions(shards=2)
+    assert reachability_bound_sweep(
+        booking, ACCEPTED, bounds, 5, options=sharded, store=False
+    ) == sequential
+    assert reachability_bound_sweep(
+        booking, ACCEPTED, bounds, 5, store=False, parallel=2
+    ) == sequential
+    sizes = state_space_bound_sweep(booking, bounds, 4, store=False)
+    assert state_space_bound_sweep(
+        booking, bounds, 4, options=sharded.replace(retention=RETAIN_COUNTS), store=False
+    ) == sizes
+    assert state_space_bound_sweep(booking, bounds, 4, store=False, parallel=2) == sizes
+    assert convergence_bound(flag_system, "goal", 4, 4, options=sharded, store=False) == 1
+
+
+def test_delta_seeded_sweeps_give_the_rows_of_direct_exploration(monkeypatch, tmp_path):
+    """Capture and delta wrap a sweep's labelled successors: its rows stay the direct ones.
+
+    The stored base lacks ``regCustomer``, so every point is seeded from
+    it and asks the labels for that action alone on every state.
+    """
+    booking = booking_agency_system()
+    store = ResultStore(tmp_path / "store")
+    without = drop_action_variant(booking, "regCustomer")
+    reachability_bound_sweep(without, ACCEPTED, (0, 1, 2), 5, store=store)
+    seeded = []
+
+    class Recording(service.DeltaSuccessors):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seeded.append(self)
+
+    monkeypatch.setattr(service, "DeltaSuccessors", Recording)
+    rows = reachability_bound_sweep(booking, ACCEPTED, (0, 1, 2), 5, store=store)
+    assert [entry.as_row() for entry in rows] == _direct_rows(booking, ACCEPTED, (0, 1, 2), 5)
+    assert len(seeded) == 3
+    assert all(delta.fresh_states and delta.reused_states for delta in seeded)
+
+
+# -- one expansion per bound sweep: a count gate ------------------------------------
+
+
+def _expansions(monkeypatch) -> list:
+    """From now on, the configuration of every successor enumeration, in call order.
+
+    Every loaded ``repro`` module that binds
+    :func:`~repro.recency.semantics.enumerate_b_bounded_successors` gets
+    the counting wrapper.
+    """
+    original = semantics.enumerate_b_bounded_successors
+    expanded = []
+
+    def counted(system, configuration, *args, **kwargs):
+        expanded.append(configuration)
+        return original(system, configuration, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "enumerate_b_bounded_successors", None)
+        if name.startswith("repro") and held is original:
+            monkeypatch.setattr(module, "enumerate_b_bounded_successors", counted)
+    return expanded
+
+
+@pytest.mark.parametrize(
+    "condition,depth,expected",
+    # Exploring each bound on its own makes 1,746 and 2,310 calls.
+    [("Exists x. BAccepted(x)", 6, 570), ("Exists x. BDrafting(x)", 7, 1101)],
+)
+def test_bound_sweeps_expand_each_configuration_once(monkeypatch, condition, depth, expected):
+    """A sequential sweep enumerates successors once per distinct expanded configuration."""
+    booking = booking_agency_system()
+    query = parse_query(condition)
+    direct = _direct_rows(booking, query, (0, 1, 2, 3), depth)
+    expanded = _expansions(monkeypatch)
+    rows = reachability_bound_sweep(booking, query, (0, 1, 2, 3), depth, store=False)
+    assert [entry.as_row() for entry in rows] == direct
+    assert (len(expanded), len(set(expanded))) == (expected, expected)
+
+
+def test_state_space_sweeps_and_convergence_scans_expand_each_configuration_once(monkeypatch):
+    booking = booking_agency_system()
+    expanded = _expansions(monkeypatch)
+    state_space_bound_sweep(booking, (0, 1, 2, 3), 5, store=False)
+    assert (len(expanded), len(set(expanded))) == (151, 151)  # 530 calls bound by bound
+    expanded.clear()
+    drafting = parse_query("Exists x. BDrafting(x)")
+    assert convergence_bound(booking, drafting, 4, 6, store=False) == 2
+    assert (len(expanded), len(set(expanded))) == (372, 372)  # 852 calls bound by bound
+
+
+def test_warm_bound_sweeps_expand_nothing(monkeypatch, tmp_path):
+    booking = booking_agency_system()
+    store = ResultStore(tmp_path / "store")
+    cold = reachability_bound_sweep(booking, ACCEPTED, (0, 1, 2, 3), 6, store=store)
+    expanded = _expansions(monkeypatch)
+    assert reachability_bound_sweep(booking, ACCEPTED, (0, 1, 2, 3), 6, store=store) == cold
+    assert expanded == []

@@ -26,7 +26,9 @@ from repro.nestedwords.word import NestedWord
 from repro.recency.abstraction import abstract_run
 from repro.recency.canonical import is_canonical_run, runs_equivalent_modulo_permutation
 from repro.recency.concretize import concretize_word
+from repro.fol.parser import parse_query
 from repro.fuzz import FuzzShape, generate_instance
+from repro.modelcheck.convergence import _LabelledSuccessors
 from repro.modelcheck.result import Verdict
 from repro.recency.explorer import RecencyExplorer, iterate_b_bounded_runs
 from repro.recency.semantics import (
@@ -412,3 +414,93 @@ def test_trusted_successors_match_a_validating_build_on_booking(bound, depth):
 def test_trusted_successors_match_a_validating_build_on_relaxed_systems(bound):
     _assert_trusted_successors_match_validation(weaken_freshness(example_31_system()), bound, 2)
     _assert_trusted_successors_match_validation(_system_without_constants(), bound, 3)
+
+
+# ---------------------------------------------------------------------------
+# Least-bound labels: one expansion serves every bound of a sweep
+# ---------------------------------------------------------------------------
+
+
+def _assert_labelled_successors_match_direct(system, largest, depth):
+    """The labels filtered at ``b`` are the direct enumeration at ``b``, step for step.
+
+    Labelled at ``largest``, every ``b ≤ largest`` is checked; labelled
+    at ``None``, ``None`` too.  Every configuration explored at the
+    labelling bound is checked, with all actions and with each
+    one-action subset (how the store's delta verification asks).
+    """
+    for labelling in (largest, None):
+        labels = _LabelledSuccessors(system, labelling)
+        bounds = [*range(largest + 1), *([None] if labelling is None else [])]
+        explored = RecencyExplorer(
+            system, labelling, ExplorationOptions(max_depth=depth, retention="counts-only")
+        ).explore()
+        for configuration in explored.configurations:
+            for bound in bounds:
+                served = labels.successors(bound)
+                assert list(served(configuration)) == list(
+                    enumerate_b_bounded_successors(system, configuration, bound)
+                )
+                for action in system.actions:
+                    assert list(served(configuration, (action,))) == list(
+                        enumerate_b_bounded_successors(system, configuration, bound, (action,))
+                    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), _FUZZ_SHAPES)
+def test_labelled_successors_match_direct_enumeration(seed, shape):
+    instance = generate_instance(seed, "smoke", shape=shape)
+    _assert_labelled_successors_match_direct(instance.system, instance.bound + 1, instance.depth)
+
+
+def test_labelled_successors_match_direct_enumeration_on_booking():
+    _assert_labelled_successors_match_direct(booking_agency_system(), 3, 5)
+
+
+def test_labelled_successors_match_direct_enumeration_on_relaxed_systems():
+    _assert_labelled_successors_match_direct(weaken_freshness(example_31_system()), 2, 2)
+    _assert_labelled_successors_match_direct(_system_without_constants(), 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Bound monotonicity: C_S^b is a subgraph of C_S^{b+1} and of C_S
+# ---------------------------------------------------------------------------
+
+
+def _assert_monotone_in_the_bound(system, condition, depth):
+    """At equal depth, untruncated: states(b) ⊆ states(b+1) ⊆ states(None), for b = 0..3.
+
+    A condition that holds at ``b`` holds at ``b+1`` unless that run is
+    truncated.
+    """
+    bounds = (0, 1, 2, 3, None)
+    options = ExplorationOptions(max_depth=depth)
+    explored = {
+        bound: RecencyExplorer(system, bound, options.replace(retention="counts-only")).explore()
+        for bound in bounds
+    }
+    verdicts = {
+        bound: run_reachability(
+            system, condition, bound=bound, options=options, store=False
+        ).reachable
+        for bound in bounds
+    }
+    for smaller, larger in zip(bounds, bounds[1:]):
+        if explored[larger].truncated:
+            continue
+        if not explored[smaller].truncated:
+            assert explored[smaller].configurations <= explored[larger].configurations
+        if verdicts[smaller] is Verdict.HOLDS:
+            assert verdicts[larger] is Verdict.HOLDS
+
+
+def test_fuzz_systems_are_monotone_in_the_bound():
+    for seed in range(100):
+        instance = generate_instance(seed, "smoke")
+        _assert_monotone_in_the_bound(instance.system, instance.condition, instance.depth)
+
+
+@pytest.mark.parametrize("condition", ["Exists x. BAccepted(x)", "Exists x. BDrafting(x)"])
+def test_booking_is_monotone_in_the_bound(condition):
+    _assert_monotone_in_the_bound(booking_agency_system(), parse_query(condition), 5)
